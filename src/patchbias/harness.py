@@ -454,7 +454,11 @@ def build_split_data(
 ) -> tuple[dict[float, tuple[SplitData, SplitData, SplitData]], dict[str, list[PatchRecord]]]:
     """Assemble dense per-split arrays from the patch index plus pixel data.
 
-    Pixel arrays are shared across thresholds; only the group ids differ.
+    Each split's (count, h, w, C) float32 array is allocated once from the
+    index's split counts and filled in place, so assembly holds no second
+    copy of the pixels. The arrays stay raw: training pools each split once
+    on its own. Pixel arrays are shared across thresholds; only the group
+    ids differ.
     """
     dataset_dir = out_root / "dataset"
     manifest_path = dataset_dir / "manifest.json"
@@ -465,10 +469,12 @@ def build_split_data(
     stored = read_patch_index(index_path)
     taus = config["patch"]["taus"]
 
-    pixels: dict[str, list[np.ndarray]] = {s: [] for s in SPLITS}
-    labels: dict[str, list[int]] = {s: [] for s in SPLITS}
-    groups: dict[str, dict[str, list[int]]] = {s: {tau_key(t): [] for t in taus} for s in SPLITS}
     by_split: dict[str, list[PatchRecord]] = {s: [] for s in SPLITS}
+    for record in stored:
+        by_split[record.split].append(record)
+    shape = (config["patch"]["height"], config["patch"]["width"], config["dataset"]["channels"])
+    pixels = {s: np.empty((len(by_split[s]), *shape), dtype=np.float32) for s in SPLITS}
+    filled = dict.fromkeys(SPLITS, 0)
 
     cursor = 0
     for record, patch in _iter_patch_records(config, manifest, dataset_dir):
@@ -482,23 +488,19 @@ def build_split_data(
             raise ValidationError(
                 f"patch index row {cursor - 1} does not match the dataset; re-run patchify"
             )
-        split = on_disk.split
-        pixels[split].append(np.array(patch.pixels, dtype=np.float32))
-        labels[split].append(on_disk.label)
-        for t in taus:
-            groups[split][tau_key(t)].append(on_disk.group_at(t))
-        by_split[split].append(on_disk)
+        pixels[on_disk.split][filled[on_disk.split]] = patch.pixels
+        filled[on_disk.split] += 1
     if cursor != len(stored):
         raise ValidationError("patch index is longer than the dataset grid; re-run patchify")
 
     arrays = {}
     for s in SPLITS:
-        if not pixels[s]:
+        if not by_split[s]:
             raise ValidationError(f"split {s!r} has no patches; enlarge the dataset")
         arrays[s] = (
-            np.stack(pixels[s]),
-            np.asarray(labels[s], dtype=np.int64),
-            {t: np.asarray(groups[s][tau_key(t)], dtype=np.int64) for t in taus},
+            pixels[s],
+            np.array([r.label for r in by_split[s]], dtype=np.int64),
+            {t: np.array([r.group_at(t) for r in by_split[s]], dtype=np.int64) for t in taus},
         )
     data_by_tau = {
         t: tuple(SplitData(x=arrays[s][0], y=arrays[s][1], groups=arrays[s][2][t]) for s in SPLITS)

@@ -3,8 +3,13 @@
 Fixed family: average-pool the patch down to a manageable size, then
 conv 3x3/stride 2 -> ReLU -> conv 3x3/stride 2 -> global average pool ->
 affine head with two logits. Parameters live in a flat float64 vector so
-optimizer updates and gradient checks stay simple and exact; inputs may be
-float32 and are upcast once.
+optimizer updates and gradient checks stay simple and exact.
+
+The pooling layer has no parameters, so training pools each split once with
+`pool` and feeds the pooled float64 arrays to every step and prediction.
+`forward`, `loss_and_grad` and `predict` accept a batch in either the raw
+(B, H, W, C) shape, which they pool, or the pooled (B, H/f, W/f, C) shape,
+which they use as is.
 """
 
 from __future__ import annotations
@@ -127,13 +132,32 @@ def flatten(spec: ClassifierSpec, tensors: dict[str, np.ndarray]) -> ParamVector
     return pv
 
 
-def _avg_pool(x: np.ndarray, factor: int) -> np.ndarray:
-    if factor == 1:
-        return x.astype(np.float64)
-    b, h, w, c = x.shape
-    hp, wp = h // factor, w // factor
-    x = x[:, : hp * factor, : wp * factor, :].astype(np.float64)
-    return x.reshape(b, hp, factor, wp, factor, c).mean(axis=(2, 4))
+# patches per pass of the strided sum; bounds its float64 temporaries
+_POOL_CHUNK = 256
+
+
+def pool(spec: ClassifierSpec, x: np.ndarray) -> np.ndarray:
+    """Average-pool raw patches (N, H, W, C) to the float64 input grid (N, H/f, W/f, C).
+
+    Rows and columns past the last whole f x f window are dropped. A batch
+    already in the pooled shape is only upcast (returned as is when it is
+    float64), so pooling twice is pooling once.
+    """
+    if _check_batch(spec, x) == "pooled":
+        return np.asarray(x, dtype=np.float64)
+    f = spec.pool_factor
+    hp, wp = spec.pooled_shape
+    out = np.empty((x.shape[0], hp, wp, spec.channels), dtype=np.float64)
+    for lo in range(0, x.shape[0], _POOL_CHUNK):
+        src = x[lo : lo + _POOL_CHUNK]
+        dst = out[lo : lo + _POOL_CHUNK]
+        dst[...] = src[:, : hp * f : f, : wp * f : f, :]
+        for di in range(f):
+            for dj in range(f):
+                if di or dj:
+                    dst += src[:, di : hp * f : f, dj : wp * f : f, :]
+    out /= f * f
+    return out
 
 
 def _im2col(x: np.ndarray) -> np.ndarray:
@@ -161,17 +185,25 @@ def _col2im(dcols: np.ndarray, x_shape: tuple[int, ...]) -> np.ndarray:
     return dx
 
 
-def _check_batch(spec: ClassifierSpec, batch: np.ndarray) -> None:
-    if batch.ndim != 4 or batch.shape[1:] != (spec.input_height, spec.input_width, spec.channels):
-        raise ValidationError(
-            f"batch shape {batch.shape} does not match spec input "
-            f"(B, {spec.input_height}, {spec.input_width}, {spec.channels})"
-        )
+def _check_batch(spec: ClassifierSpec, batch: np.ndarray) -> str:
+    """"pooled" or "raw", whichever the batch shape matches; anything else raises.
+
+    With pool factor 1 the two shapes coincide and the batch counts as pooled.
+    """
+    raw = (spec.input_height, spec.input_width, spec.channels)
+    pooled = (*spec.pooled_shape, spec.channels)
+    if batch.ndim == 4 and batch.shape[1:] == pooled:
+        return "pooled"
+    if batch.ndim == 4 and batch.shape[1:] == raw:
+        return "raw"
+    raise ValidationError(
+        f"batch shape {batch.shape} matches neither the raw spec input (B, {', '.join(map(str, raw))}) "
+        f"nor the pooled input (B, {', '.join(map(str, pooled))})"
+    )
 
 
 def _forward_cached(spec: ClassifierSpec, params: ParamVector, batch: np.ndarray) -> dict:
-    _check_batch(spec, batch)
-    x = _avg_pool(batch, spec.pool_factor)
+    x = pool(spec, batch)
     w1, b1 = params.view("conv1_w"), params.view("conv1_b")
     w2, b2 = params.view("conv2_w"), params.view("conv2_b")
     w3, b3 = params.view("fc_w"), params.view("fc_b")
@@ -190,7 +222,7 @@ def _forward_cached(spec: ClassifierSpec, params: ParamVector, batch: np.ndarray
 
 
 def forward(spec: ClassifierSpec, params: ParamVector, batch: np.ndarray) -> np.ndarray:
-    """Logits (B, 2) for a batch of patches."""
+    """Logits (B, 2) for a batch of raw or pooled patches."""
     return _forward_cached(spec, params, batch)["logits"]
 
 

@@ -15,6 +15,11 @@ and report test worst-group and balanced-class accuracy as mean +/- sample
 std. Checkpoint selection happens on validation after every epoch; ERM
 trajectories are trained once per seed and re-selected per cell, since the
 weights do not depend on the threshold or the selection metric.
+
+Pooling is the model's fixed first layer, so every entry point pools a split
+once (`model.pool`) and then indexes the pooled arrays: a trajectory pools
+its training split, selection pools validation, evaluation pools test, and
+`run_experiment` pools each distinct array once for all thresholds.
 """
 
 from __future__ import annotations
@@ -26,8 +31,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import NonFiniteGradientError, ValidationError
-from .metrics import EvalResult, evaluate
-from .model import ClassifierSpec, ParamVector, init_params, loss_and_grad, param_layout, predict
+from .metrics import N_GROUPS, EvalResult, evaluate
+from .model import ClassifierSpec, ParamVector, init_params, loss_and_grad, param_layout, pool, predict
 from .sampler import GroupedDataset, draw_biased, draw_erm, draw_less_biased, erm_steps_per_epoch
 
 METHOD_ERM = "erm"
@@ -77,9 +82,12 @@ class TrainConfig:
 
 @dataclass
 class SplitData:
-    """One split as dense arrays: patches, binary labels, group ids."""
+    """One split as dense arrays: patches, binary labels, group ids.
 
-    x: np.ndarray  # (N, h, w, M) float32
+    `x` holds either raw patches or the model's pooled input; see `pooled`.
+    """
+
+    x: np.ndarray  # (N, h, w, M) float32 raw, or (N, h/f, w/f, M) float64 pooled
     y: np.ndarray  # (N,) int64
     groups: np.ndarray  # (N,) int64
 
@@ -93,6 +101,14 @@ class SplitData:
     @property
     def size(self) -> int:
         return self.x.shape[0]
+
+    def pooled(self, spec: ClassifierSpec) -> "SplitData":
+        """The same split with `x` pooled to the model input; labels and groups are shared."""
+        return replace(self, x=pool(spec, self.x))
+
+
+def _missing_groups(groups: np.ndarray) -> list[int]:
+    return sorted(set(range(N_GROUPS)) - set(np.unique(groups).tolist()))
 
 
 def sgd_update(
@@ -188,6 +204,7 @@ def train_history(
 
     spec = replace(model_spec, seed=seed)
     spec.validate()
+    x = pool(spec, train.x)
     params = init_params(spec)
     velocity = np.zeros_like(params.values)
     ds = GroupedDataset.from_group_ids(train.groups, seed)
@@ -201,7 +218,7 @@ def train_history(
             if method == METHOD_ERM:
                 idx = draw_erm(ds, batch_size, epoch, step)
                 params, velocity, loss = erm_step(
-                    spec, params, velocity, train.x[idx], train.y[idx], lr=lr, momentum=momentum
+                    spec, params, velocity, x[idx], train.y[idx], lr=lr, momentum=momentum
                 )
                 epoch_losses.append(loss)
             else:
@@ -209,8 +226,8 @@ def train_history(
                 idx_lb = draw_less_biased(ds, batch_size, epoch, step)
                 params, velocity, loss_b, loss_lb = gerne_step(
                     spec, params, velocity,
-                    train.x[idx_b], train.y[idx_b],
-                    train.x[idx_lb], train.y[idx_lb],
+                    x[idx_b], train.y[idx_b],
+                    x[idx_lb], train.y[idx_lb],
                     beta=beta, lr=lr, momentum=momentum,
                 )
                 epoch_losses.append(0.5 * (loss_b + loss_lb))
@@ -262,12 +279,12 @@ def select_checkpoint(
     if eval_metric not in EVAL_METRICS:
         raise ValidationError(f"unknown eval_metric {eval_metric!r}")
     if eval_metric == "wga":
-        present = set(np.unique(val.groups).tolist())
-        missing = sorted(set(range(4)) - present)
+        missing = _missing_groups(val.groups)
         if missing:
             raise ValidationError(
                 f"worst-group selection needs every group in the validation split; missing {missing}"
             )
+    val = val.pooled(history.spec)
     log: list[EpochRecord] = []
     best: Checkpoint | None = None
     best_score = -np.inf
@@ -291,7 +308,7 @@ def evaluate_outcome(
     history: History, val: SplitData, test: SplitData, eval_metric: str
 ) -> TrialOutcome:
     checkpoint, log = select_checkpoint(history, val, eval_metric)
-    preds = _predict_split(history.spec, checkpoint.params.values, test)
+    preds = _predict_split(history.spec, checkpoint.params.values, test.pooled(history.spec))
     test_eval = evaluate(preds, test.y, test.groups)
     return TrialOutcome(
         seed=history.seed, eval_metric=eval_metric, checkpoint=checkpoint,
@@ -329,6 +346,7 @@ def tune_beta(
     Ties keep the earlier grid entry. Returns (best_beta, score per beta).
     """
     config.validate()
+    train, val = train.pooled(model_spec), val.pooled(model_spec)
     scores: dict[float, float] = {}
     best_beta, best_score = None, -np.inf
     for beta in config.beta_grid:
@@ -448,7 +466,9 @@ def run_experiment(
     Trial i runs with seed base_config.seed + i unless trial_seeds overrides
     the list. ERM trajectories are shared across cells with the same seed;
     gerne rows tune beta on validation at the first trial seed when
-    base_config.beta is None.
+    base_config.beta is None. Before anything trains, every threshold is
+    checked for the groups its rows need: all four in train for gerne rows,
+    all four in validation for worst-group selection.
     """
     base_config.validate()
     if not rows:
@@ -462,8 +482,31 @@ def run_experiment(
         trial_seeds = [base_config.seed + i for i in range(base_config.trials)]
     if len(trial_seeds) != base_config.trials:
         raise ValidationError(f"expected {base_config.trials} trial seeds, got {len(trial_seeds)}")
+    for tau, (train, val, _) in data_by_tau.items():
+        missing = _missing_groups(train.groups)
+        if missing and any(method == METHOD_GERNE for method, _ in rows):
+            raise ValidationError(
+                f"group {missing[0]} is empty; balanced sampling needs all four groups "
+                f"(training split at tau={tau})"
+            )
+        missing = _missing_groups(val.groups)
+        if missing and any(metric == "wga" for _, metric in rows):
+            raise ValidationError(
+                f"worst-group selection needs every group in the validation split; missing {missing} "
+                f"(tau={tau})"
+            )
 
     started = time.monotonic()
+    # pool each distinct patch array once; thresholds that share pixels share
+    # the pooled array too, which keeps the ERM cache key below valid
+    pooled: dict[int, np.ndarray] = {}
+
+    def pooled_split(split: SplitData) -> SplitData:
+        if id(split.x) not in pooled:
+            pooled[id(split.x)] = pool(model_spec, split.x)
+        return replace(split, x=pooled[id(split.x)])
+
+    data_by_tau = {tau: tuple(pooled_split(s) for s in splits) for tau, splits in data_by_tau.items()}
     erm_histories: dict[tuple[int, int, int], History] = {}
     gerne_histories: dict[tuple[int, float, float], History] = {}
 

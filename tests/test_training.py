@@ -350,3 +350,27 @@ def test_run_experiment_validates_rows_and_seed_count():
                        trial_seeds=[1])
     with pytest.raises(ValidationError, match="data"):
         run_experiment(SPEC, {}, _experiment_config())
+
+
+def test_run_experiment_checks_groups_at_every_threshold_before_training(monkeypatch):
+    import patchbias.training as training
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("train_history ran before the group preflight")
+
+    train, val, test = _split(48, 32), _split(32, 33), _split(32, 34)
+    no_group_1 = SplitData(x=train.x, y=train.y, groups=np.where(train.groups == 1, 0, train.groups))
+    val_no_group_3 = SplitData(x=val.x, y=val.y, groups=np.where(val.groups == 3, 2, val.groups))
+    monkeypatch.setattr(training, "train_history", no_training)
+    # the bad threshold comes second, so the first one's trajectories would train today
+    with pytest.raises(ValidationError, match="group 1 is empty; balanced sampling"):
+        run_experiment(SPEC, {0.1: (train, val, test), 0.03: (no_group_1, val, test)},
+                       _experiment_config())
+    with pytest.raises(ValidationError, match="every group in the validation split; missing \\[3\\]"):
+        run_experiment(SPEC, {0.1: (train, val, test), 0.03: (train, val_no_group_3, test)},
+                       _experiment_config())
+    # rows that never sample balanced batches or select by worst group need neither
+    monkeypatch.undo()
+    report = run_experiment(SPEC, {0.03: (no_group_1, val_no_group_3, test)}, _experiment_config(),
+                            rows=(("erm", "bca"),))
+    assert [c.row_label for c in report.cells] == ["ERM+BCA"]
