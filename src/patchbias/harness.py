@@ -244,6 +244,22 @@ def resolve_out_root(config: dict, override: str | None = None) -> Path:
     return Path(config["out_root"])
 
 
+def write_atomic(path: Path, text: str) -> None:
+    """Replace `path` with `text` in one step: a temporary file in the same directory, then os.replace.
+
+    A failure before the replace leaves the previous file as it was and
+    removes the temporary file, so no stage ever reads a half-written artifact.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _update_run_manifest(out_root: Path, config: dict, stage: str, artifacts: dict, seconds: float) -> None:
     path = out_root / "run_manifest.json"
     doc = json.loads(path.read_text()) if path.exists() else {"stages": {}}
@@ -257,7 +273,7 @@ def _update_run_manifest(out_root: Path, config: dict, stage: str, artifacts: di
         "seconds": round(seconds, 3),
         "artifacts": artifacts,
     }
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True))
+    write_atomic(path, json.dumps(doc, indent=2, sort_keys=True))
 
 
 def scene_specs_from_config(dataset_cfg: dict) -> list[SceneSpec]:
@@ -297,12 +313,17 @@ def cmd_generate(config: dict, out_root: Path) -> Path:
     if marker_path.exists() and (dataset_dir / "manifest.json").exists():
         marker = json.loads(marker_path.read_text())
         if marker.get("dataset_hash") == section_hash:
-            print(f"dataset already generated under {dataset_dir}, skipping")
-            return dataset_dir
+            missing = _missing_dataset_files(DatasetManifest.load(dataset_dir / "manifest.json"), dataset_dir)
+            if not missing:
+                print(f"dataset already generated under {dataset_dir}, skipping")
+                return dataset_dir
+            print(f"dataset under {dataset_dir} is missing {len(missing)} files, regenerating")
+    # an interrupted run must not leave a marker that vouches for partial files
+    marker_path.unlink(missing_ok=True)
     specs = scene_specs_from_config(config["dataset"])
     manifest = generate_corpus(specs, tuple(config["dataset"]["split_fractions"]))
     materialize(manifest, dataset_dir)
-    marker_path.write_text(json.dumps(
+    write_atomic(marker_path, json.dumps(
         {"dataset_hash": section_hash, "images": len(specs)}, indent=2, sort_keys=True
     ))
     _update_run_manifest(
@@ -314,16 +335,22 @@ def cmd_generate(config: dict, out_root: Path) -> Path:
     return dataset_dir
 
 
+def _missing_dataset_files(manifest: DatasetManifest, dataset_dir: Path) -> list[str]:
+    """"<image_id>: <path>" for every image or mask the manifest names that is not on disk."""
+    return [
+        f"{entry.image_id}: {rel}"
+        for entry in manifest.entries
+        for rel in (entry.image_path, entry.mask_path)
+        if rel is None or not (dataset_dir / rel).exists()
+    ]
+
+
 def _iter_patch_records(config: dict, manifest: DatasetManifest, dataset_dir: Path):
     """Yield (record, patch) pairs across the corpus in manifest/grid order."""
     grid = PatchGridSpec(config["patch"]["height"], config["patch"]["width"])
     taus = config["patch"]["taus"]
     epsilon = config["patch"]["epsilon"]
-    missing: list[str] = []
-    for entry in manifest.entries:
-        for rel in (entry.image_path, entry.mask_path):
-            if rel is None or not (dataset_dir / rel).exists():
-                missing.append(f"{entry.image_id}: {rel}")
+    missing = _missing_dataset_files(manifest, dataset_dir)
     if missing:
         raise ValidationError("missing dataset files: " + "; ".join(missing))
     for entry in manifest.entries:
@@ -576,7 +603,7 @@ def cmd_train(config: dict, out_root: Path) -> RunReport:
         "cells": [cell.to_dict() for cell in report.cells],
     }
     results_path = train_dir / "results.json"
-    results_path.write_text(json.dumps(results, indent=2, sort_keys=True))
+    write_atomic(results_path, json.dumps(results, indent=2, sort_keys=True))
     artifacts["results"] = "train/results.json"
     _update_run_manifest(out_root, config, "train", artifacts, time.monotonic() - started)
     for cell in report.cells:
@@ -618,7 +645,7 @@ def cmd_report(config: dict, out_root: Path) -> Path:
             cells.append(f"{cell['wga_mean']:.4f}±{cell['wga_std']:.4f}")
             cells.append(f"{cell['bca_mean']:.4f}±{cell['bca_std']:.4f}")
         lines.append(",".join(cells))
-    table_path.write_text("\n".join(lines) + "\n")
+    write_atomic(table_path, "\n".join(lines) + "\n")
     _update_run_manifest(
         out_root, config, "report", {"final_table": "report/final_table.csv"},
         time.monotonic() - started,

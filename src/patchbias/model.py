@@ -10,6 +10,15 @@ The pooling layer has no parameters, so training pools each split once with
 `forward`, `loss_and_grad` and `predict` accept a batch in either the raw
 (B, H, W, C) shape, which they pool, or the pooled (B, H/f, W/f, C) shape,
 which they use as is.
+
+Each convolution is one copy and one 2-D matmul: `_im2col` copies the
+stride-2 windows into a (B*Ho*Wo, 9*C) matrix (rows in (b, i, j) order,
+columns in (di, dj, c) order) and one matmul multiplies it by the weights
+reshaped to (9*C, k). The backward pass multiplies by the transposed views
+of the same matrices, and `_col2im` scatter-adds in (di, dj) order. The
+kernel must stay bit-identical to the loop-and-tensordot reference kernel
+kept in tests/test_kernel.py, because the pinned result hashes depend on
+every bit of every gradient.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ValidationError
 from .tensorio import read_tensor, write_tensor
@@ -160,23 +170,39 @@ def pool(spec: ClassifierSpec, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _conv_side(n: int) -> int:
+    """Output side of a valid 3x3 stride-2 convolution over `n` pixels."""
+    return (n - _KERNEL) // _STRIDE + 1
+
+
 def _im2col(x: np.ndarray) -> np.ndarray:
-    """(B, H, W, C) -> (B, Ho, Wo, 3, 3, C) windows at stride 2."""
+    """(B, H, W, C) -> C-contiguous (B*Ho*Wo, 9*C) windows at stride 2, in one copy.
+
+    Rows are in (b, i, j) order and columns in (di, dj, c) order, so one
+    row times the weights reshaped to (9*C, k) is one output pixel. For a
+    fixed window row di, the 3 pixels x C channels are one contiguous run
+    of the (contiguous) input, so the windows are a strided view of shape
+    (B, Ho, Wo, 3, 3*C) that one copy makes contiguous. The copy is
+    explicit because reshaping the view can return another strided view
+    (when Wo is 1), and a strided operand takes a different BLAS path.
+    """
+    x = np.ascontiguousarray(x)
     b, h, w, c = x.shape
-    ho = (h - _KERNEL) // _STRIDE + 1
-    wo = (w - _KERNEL) // _STRIDE + 1
-    cols = np.empty((b, ho, wo, _KERNEL, _KERNEL, c), dtype=x.dtype)
-    for di in range(_KERNEL):
-        for dj in range(_KERNEL):
-            cols[:, :, :, di, dj, :] = x[
-                :, di : di + _STRIDE * (ho - 1) + 1 : _STRIDE, dj : dj + _STRIDE * (wo - 1) + 1 : _STRIDE, :
-            ]
-    return cols
+    ho, wo = _conv_side(h), _conv_side(w)
+    sb, sh, sw, sc = x.strides
+    windows = as_strided(
+        x, shape=(b, ho, wo, _KERNEL, _KERNEL * c),
+        strides=(sb, _STRIDE * sh, _STRIDE * sw, sh, sc), writeable=False,
+    )
+    return np.ascontiguousarray(windows).reshape(b * ho * wo, _KERNEL * _KERNEL * c)
 
 
 def _col2im(dcols: np.ndarray, x_shape: tuple[int, ...]) -> np.ndarray:
+    """Adjoint of `_im2col`: scatter-add the (B*Ho*Wo, 9*C) rows back onto (B, H, W, C)."""
+    b, h, w, c = x_shape
+    ho, wo = _conv_side(h), _conv_side(w)
+    dcols = dcols.reshape(b, ho, wo, _KERNEL, _KERNEL, c)
     dx = np.zeros(x_shape, dtype=dcols.dtype)
-    ho, wo = dcols.shape[1], dcols.shape[2]
     for di in range(_KERNEL):
         for dj in range(_KERNEL):
             dx[
@@ -209,15 +235,18 @@ def _forward_cached(spec: ClassifierSpec, params: ParamVector, batch: np.ndarray
     w3, b3 = params.view("fc_w"), params.view("fc_b")
 
     cols1 = _im2col(x)
-    z1 = np.tensordot(cols1, w1, axes=([3, 4, 5], [0, 1, 2])) + b1
-    a1 = np.maximum(z1, 0.0)
-    cols2 = _im2col(a1)
-    z2 = np.tensordot(cols2, w2, axes=([3, 4, 5], [0, 1, 2])) + b2
-    gap = z2.mean(axis=(1, 2))
+    z1 = cols1 @ w1.reshape(-1, spec.k1)
+    z1 += b1
+    a1_shape = (x.shape[0], _conv_side(x.shape[1]), _conv_side(x.shape[2]), spec.k1)
+    cols2 = _im2col(np.maximum(z1, 0.0).reshape(a1_shape))
+    z2 = cols2 @ w2.reshape(-1, spec.k2)
+    z2 += b2
+    spatial = _conv_side(a1_shape[1]) * _conv_side(a1_shape[2])
+    gap = z2.reshape(x.shape[0], spatial, spec.k2).mean(axis=1)
     logits = gap @ w3 + b3
     return {
-        "cols1": cols1, "z1": z1, "a1_shape": a1.shape,
-        "cols2": cols2, "gap": gap, "logits": logits,
+        "cols1": cols1, "z1": z1, "a1_shape": a1_shape,
+        "cols2": cols2, "spatial": spatial, "gap": gap, "logits": logits,
     }
 
 
@@ -258,18 +287,16 @@ def loss_and_grad(
     grad.view("fc_b")[...] = dlogits.sum(axis=0)
     dgap = dlogits @ params.view("fc_w").T
 
-    spatial = cache["cols2"].shape[1] * cache["cols2"].shape[2]
-    dz2 = np.broadcast_to(
-        dgap[:, None, None, :] / spatial,
-        (gap.shape[0], cache["cols2"].shape[1], cache["cols2"].shape[2], gap.shape[1]),
-    )
-    grad.view("conv2_w")[...] = np.tensordot(cache["cols2"], dz2, axes=([0, 1, 2], [0, 1, 2]))
-    grad.view("conv2_b")[...] = dz2.sum(axis=(0, 1, 2))
-    dcols2 = np.tensordot(dz2, params.view("conv2_w"), axes=([3], [3]))
-    da1 = _col2im(dcols2, cache["a1_shape"])
+    # every output pixel of conv2 gets the same share of its sample's dgap
+    spatial = cache["spatial"]
+    dz2 = np.repeat(dgap / spatial, spatial, axis=0)
+    grad.view("conv2_w")[...] = (cache["cols2"].T @ dz2).reshape(_KERNEL, _KERNEL, spec.k1, spec.k2)
+    grad.view("conv2_b")[...] = dz2.sum(axis=0)
+    dcols2 = dz2 @ params.view("conv2_w").reshape(-1, spec.k2).T
+    da1 = _col2im(dcols2, cache["a1_shape"]).reshape(-1, spec.k1)
     dz1 = da1 * (cache["z1"] > 0)  # subgradient 0 at the ReLU kink
-    grad.view("conv1_w")[...] = np.tensordot(cache["cols1"], dz1, axes=([0, 1, 2], [0, 1, 2]))
-    grad.view("conv1_b")[...] = dz1.sum(axis=(0, 1, 2))
+    grad.view("conv1_w")[...] = (cache["cols1"].T @ dz1).reshape(_KERNEL, _KERNEL, spec.channels, spec.k1)
+    grad.view("conv1_b")[...] = dz1.sum(axis=0)
     return loss, grad.values
 
 

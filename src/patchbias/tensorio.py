@@ -7,6 +7,8 @@ All integers are little-endian.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -39,25 +41,43 @@ def write_tensor(path: str | Path, array: np.ndarray) -> None:
         fh.write(arr.tobytes(order="C"))
 
 
+def _unpack_header(fh, fmt: str, path) -> tuple:
+    """Read and unpack one header field; a short read is a ValidationError."""
+    size = struct.calcsize(fmt)
+    raw = fh.read(size)
+    if len(raw) != size:
+        raise ValidationError(f"{path}: header cut short")
+    return struct.unpack(fmt, raw)
+
+
 def read_tensor(path: str | Path) -> np.ndarray:
-    """Read a PBTENSR1 file back into a numpy array."""
+    """Read a PBTENSR1 file back into a numpy array.
+
+    Any malformed file raises ValidationError: a bad magic, a header cut
+    short, an implausible rank, an unknown tag, or a payload that is not
+    exactly the rest of the file. The declared payload size is checked
+    against the file size before the payload is read.
+    """
     with open(path, "rb") as fh:
+        file_size = os.fstat(fh.fileno()).st_size
         magic = fh.read(8)
         if magic != MAGIC:
             raise ValidationError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-        (rank,) = struct.unpack("<I", fh.read(4))
+        (rank,) = _unpack_header(fh, "<I", path)
         if rank > 8:
             raise ValidationError(f"{path}: implausible rank {rank}")
-        dims = struct.unpack(f"<{rank}I", fh.read(4 * rank))
-        (tag,) = struct.unpack("<B", fh.read(1))
+        dims = _unpack_header(fh, f"<{rank}I", path)
+        (tag,) = _unpack_header(fh, "<B", path)
         if tag not in _TAG_TO_DTYPE:
             raise ValidationError(f"{path}: unknown dtype tag {tag}")
         dtype = _TAG_TO_DTYPE[tag]
-        n = int(np.prod(dims, dtype=np.int64)) if rank else 1
-        raw = fh.read(n * dtype.itemsize)
-        if len(raw) != n * dtype.itemsize:
-            raise ValidationError(f"{path}: truncated payload")
-        extra = fh.read(1)
-        if extra:
+        nbytes = math.prod(dims) * dtype.itemsize  # Python ints, so huge dims cannot overflow
+        remaining = file_size - fh.tell()
+        if nbytes > remaining:
+            raise ValidationError(f"{path}: truncated payload: header declares {nbytes} bytes, {remaining} follow")
+        if nbytes < remaining:
             raise ValidationError(f"{path}: trailing bytes after payload")
+        raw = fh.read(nbytes)
+    if len(raw) != nbytes:  # the file shrank after the size check
+        raise ValidationError(f"{path}: truncated payload")
     return np.frombuffer(raw, dtype=dtype).reshape(dims).copy()

@@ -129,6 +129,60 @@ def test_generate_writes_corpus_and_skips_reruns(tmp_path, capsys):
     assert "generated 3 images" in capsys.readouterr().out
 
 
+def test_generate_regenerates_a_deleted_image_instead_of_skipping(tmp_path, capsys):
+    cfg = mini_config()
+    harness.cmd_generate(cfg, tmp_path)
+    victim = next((tmp_path / "dataset" / "images").glob("*.pbt"))
+    original = victim.read_bytes()
+    victim.unlink()
+    capsys.readouterr()
+    harness.cmd_generate(cfg, tmp_path)
+    out = capsys.readouterr().out
+    assert "skipping" not in out and "missing 1 files, regenerating" in out
+    assert victim.read_bytes() == original
+    harness.cmd_patchify(cfg, tmp_path)
+
+
+def test_write_atomic_replaces_the_file(tmp_path):
+    path = tmp_path / "results.json"
+    path.write_text("old")
+    harness.write_atomic(path, "new ±")
+    assert path.read_text(encoding="utf-8") == "new ±"
+    assert [p.name for p in tmp_path.iterdir()] == ["results.json"]
+
+
+@pytest.mark.parametrize("stage", ["write", "replace"])
+def test_write_atomic_failure_keeps_the_previous_file_and_no_temporary(tmp_path, monkeypatch, stage):
+    path = tmp_path / "final_table.csv"
+    path.write_text("previous\n")
+    if stage == "replace":
+        def refuse(src, dst):
+            raise OSError("disk full")
+        monkeypatch.setattr(harness.os, "replace", refuse)
+        text = "next\n"
+    else:
+        text = "\udcff"  # a lone surrogate cannot be encoded, so the write fails midway
+    with pytest.raises((OSError, UnicodeEncodeError)):
+        harness.write_atomic(path, text)
+    assert path.read_text() == "previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["final_table.csv"]
+
+
+def test_report_failure_keeps_the_previous_table(tiny_run, monkeypatch):
+    cfg, out = tiny_run
+    table = out / "report" / "final_table.csv"
+    before = table.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(harness.os, "replace", refuse)
+    with pytest.raises(OSError, match="disk full"):
+        harness.cmd_report(cfg, out)
+    assert table.read_bytes() == before
+    assert [p.name for p in table.parent.iterdir()] == ["final_table.csv"]
+
+
 def test_patchify_requires_the_dataset(tmp_path):
     with pytest.raises(ValidationError, match="run generate first"):
         harness.cmd_patchify(mini_config(), tmp_path)
