@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomicio import open_atomic
 from .composition import binarize_spurious
 from .errors import ValidationError
 from .records import PatchRecord
@@ -171,9 +172,11 @@ def bias_report(records: list[PatchRecord], tau: float) -> dict:
 
 
 def write_histogram_csv(hist: ConditionalHistogram, path: str | Path) -> None:
-    """One row per bin; overlay columns are blank when absent or undefined."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
+    """One row per bin; overlay columns are blank when absent or undefined.
+
+    The file is replaced in one step, so a failed write keeps the previous one.
+    """
+    with open_atomic(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["bin_left", "bin_right", "count", "mass", "correct_fraction", "incorrect_fraction"]

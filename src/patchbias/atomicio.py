@@ -1,0 +1,36 @@
+"""Replace a text artifact in one step, so no stage ever reads a half-written file.
+
+Writes go to a temporary file in the target's directory (`.<name>.<pid>.tmp`)
+and `os.replace` moves it over the target, a rename within one file system.
+"""
+
+from __future__ import annotations
+
+import os
+from contextlib import contextmanager
+from pathlib import Path
+from typing import IO, Iterator
+
+
+@contextmanager
+def open_atomic(path: str | Path, newline: str | None = None) -> Iterator[IO[str]]:
+    """A UTF-8 text handle whose contents replace `path` when the block exits normally.
+
+    If the block raises, or the write or the replace fails, the temporary file
+    is removed and `path` keeps its previous contents.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_atomic(path: str | Path, text: str) -> None:
+    """Replace `path` with `text` in one step."""
+    with open_atomic(path) as fh:
+        fh.write(text)

@@ -19,6 +19,10 @@ DEFAULT_TISSUE_EPSILON = 0.05
 
 GROUP_NAMES = ("y0_z0", "y0_z1", "y1_z0", "y1_z1")
 
+# plain ints: an enum member lookup costs more than the count it feeds
+_TUMOR = int(TissueClass.TUMOR)
+_HEALTHY = int(TissueClass.HEALTHY)
+
 
 @dataclass(frozen=True)
 class PatchRatios:
@@ -33,8 +37,8 @@ def compute_ratios(patch_mask: np.ndarray) -> PatchRatios:
     total = patch_mask.size
     if total == 0:
         raise ValidationError("patch mask is empty")
-    tumor = int(np.count_nonzero(patch_mask == TissueClass.TUMOR))
-    healthy = int(np.count_nonzero(patch_mask == TissueClass.HEALTHY))
+    tumor = int(np.count_nonzero(patch_mask == _TUMOR))
+    healthy = int(np.count_nonzero(patch_mask == _HEALTHY))
     tissue = tumor + healthy
     return PatchRatios(
         r_tumor=tumor / total,
@@ -45,12 +49,22 @@ def compute_ratios(patch_mask: np.ndarray) -> PatchRatios:
 
 
 def infer_tissue(patch_pixels: np.ndarray, epsilon: float = DEFAULT_TISSUE_EPSILON) -> np.ndarray:
-    """Tissue wherever any channel rises above `epsilon` (background is near-black)."""
+    """Tissue wherever any channel rises above `epsilon` (background is near-black).
+
+    The channel maximum is a pairwise `np.maximum` over the channel planes:
+    on a 3-wide last axis that is an order of magnitude cheaper than
+    `max(axis=-1)` and gives the same mask (a NaN channel still yields False).
+    """
     if not (0.0 < epsilon < 1.0):
         raise ValidationError(f"epsilon must be in (0, 1), got {epsilon}")
     if patch_pixels.ndim != 3:
         raise ValidationError(f"expected (h, w, channels) pixels, got shape {patch_pixels.shape}")
-    return patch_pixels.max(axis=-1) > epsilon
+    if patch_pixels.shape[-1] == 0:
+        raise ValidationError(f"expected at least one channel, got shape {patch_pixels.shape}")
+    peak = patch_pixels[..., 0]
+    for c in range(1, patch_pixels.shape[-1]):
+        peak = np.maximum(peak, patch_pixels[..., c])
+    return peak > epsilon
 
 
 def binarize_spurious(r_tissue: float, tau: float) -> int:

@@ -28,6 +28,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import bias_report, histogram, overlay_predictions, write_histogram_csv
+from .atomicio import write_atomic
 from .composition import assign_group, binarize_spurious, compute_ratios, infer_tissue
 from .errors import ValidationError
 from .model import ClassifierSpec, save_checkpoint
@@ -244,22 +245,6 @@ def resolve_out_root(config: dict, override: str | None = None) -> Path:
     return Path(config["out_root"])
 
 
-def write_atomic(path: Path, text: str) -> None:
-    """Replace `path` with `text` in one step: a temporary file in the same directory, then os.replace.
-
-    A failure before the replace leaves the previous file as it was and
-    removes the temporary file, so no stage ever reads a half-written artifact.
-    """
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def _update_run_manifest(out_root: Path, config: dict, stage: str, artifacts: dict, seconds: float) -> None:
     path = out_root / "run_manifest.json"
     doc = json.loads(path.read_text()) if path.exists() else {"stages": {}}
@@ -374,7 +359,7 @@ def _iter_patch_records(config: dict, manifest: DatasetManifest, dataset_dir: Pa
                 r_tumor_tissue=ratios.r_tumor_tissue,
                 r_tissue=ratios.r_tissue,
                 tissue_pixels=ratios.tissue_pixels,
-                r_tissue_inferred=float(inferred.mean()),
+                r_tissue_inferred=int(np.count_nonzero(inferred)) / inferred.size,
                 z=z,
                 group=group,
             )
@@ -468,7 +453,7 @@ def cmd_analyze(config: dict, out_root: Path, predictions: str | Path | None = N
     for tau in config["patch"]["taus"]:
         report = bias_report(subset, tau)
         name = f"bias_tau{tau_key(tau)}.json"
-        (analysis_dir / name).write_text(json.dumps(report, indent=2, sort_keys=True))
+        write_atomic(analysis_dir / name, json.dumps(report, indent=2, sort_keys=True))
         artifacts[f"bias_{tau_key(tau)}"] = f"analysis/{name}"
         print(f"tau={tau_key(tau)}: alignment={report['alignment']}, groups={report['group_counts']}")
 

@@ -16,6 +16,9 @@ from .synthdata import MultimodalImage, SegmentationMask, TissueClass
 
 EDGE_DROP_PARTIAL = "drop_partial"
 
+# a plain int compares faster than the enum member
+_TUMOR = int(TissueClass.TUMOR)
+
 
 @dataclass(frozen=True)
 class PatchGridSpec:
@@ -71,7 +74,7 @@ def partition(
     return patches
 
 
-def binary_label(patch_mask: np.ndarray, target_class: int = TissueClass.TUMOR) -> int:
+def binary_label(patch_mask: np.ndarray, target_class: int = _TUMOR) -> int:
     """1 iff at least one pixel of the target class is present."""
     return int(np.any(patch_mask == target_class))
 

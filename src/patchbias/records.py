@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
+from .atomicio import open_atomic
 from .errors import ValidationError
 
 
@@ -61,9 +62,13 @@ class PatchRecord:
 
 
 def write_patch_index(records: Iterable[PatchRecord], path: str | Path) -> int:
-    """One JSON object per line; returns the record count."""
+    """One JSON object per line; returns the record count.
+
+    The index replaces `path` only once every record is written: if `records`
+    raises midway, the previous index stays as it was.
+    """
     n = 0
-    with open(path, "w") as fh:
+    with open_atomic(path) as fh:
         for rec in records:
             fh.write(json.dumps(rec.to_dict(), sort_keys=True))
             fh.write("\n")

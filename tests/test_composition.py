@@ -98,6 +98,8 @@ def test_infer_tissue_validates_epsilon_and_shape():
         infer_tissue(np.zeros((2, 2, 1), dtype=np.float32), 1.0)
     with pytest.raises(ValidationError):
         infer_tissue(np.zeros((2, 2), dtype=np.float32), 0.05)
+    with pytest.raises(ValidationError, match="at least one channel"):
+        infer_tissue(np.zeros((2, 2, 0), dtype=np.float32), 0.05)
 
 
 def test_binarize_spurious_paper_cases():

@@ -1,15 +1,18 @@
-"""Pin the end-to-end results bytes of a small run across code versions.
+"""Pin the bytes of a small run across code versions.
 
 Rerunning the same code twice (criterion 7 in test_acceptance) cannot catch a
 refactor that changes bits; these hashes can. The config pools its 32 px
-patches by a factor of 2, so the pooling layer is covered. The hashes hold
-for one numpy and OpenBLAS runtime (the kernel core OpenBLAS picks at run
-time changes float rounding); elsewhere the test skips.
+patches by a factor of 2, so the pooling layer is covered. The results hashes
+hold for one numpy and OpenBLAS runtime (the kernel core OpenBLAS picks at
+run time changes float rounding); elsewhere that test skips. The data stages
+(generate, patchify, analyze) make no BLAS call, so their hashes depend on
+the numpy version alone.
 
 To regenerate on purpose, after a change that is meant to move results: run
 this config through ``harness.run_pipeline``, take sha256 of
 ``train/results.json`` and ``report/final_table.csv``, replace RESULTS_SHA256
-and TABLE_SHA256, and say in CHANGES.md why the bytes moved.
+and TABLE_SHA256, and say in CHANGES.md why the bytes moved. For the data
+stages, print ``_data_digests`` of the run's out root into DATA_SHA256.
 """
 
 import ctypes
@@ -27,6 +30,16 @@ NUMPY_VERSION = "2.4.6"
 OPENBLAS_CONFIG = "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY SkylakeX MAX_THREADS=64"
 RESULTS_SHA256 = "49c3eeede9c48ba36dc22eb90e4d8cbc095fc10f062469a65887a19a1daed112"
 TABLE_SHA256 = "93ef20ec9b8d841f28fd7d5ef7d25a07cefc70e29d138b95a38faae8ae9e7c05"
+DATA_SHA256 = {
+    "dataset/images": "c74587017a9db37a87b3a2ada6a2d09d1d205838530421290cdc68d1798770ba",
+    "dataset/masks": "34785785cbc04f85e80d1e6cf5b7a9da0e9e116c09f9dfe985587e152712b436",
+    "patches/patch_index.jsonl": "3cc0ff73159ae8ae84d45ae0708a21d288d6ff1133ffa4f4f703b65657605247",
+    "analysis/bias_tau0.03.json": "395c2083a17ae342603c5b2f9fdff539725dd4e99d815dc58af879e51130cada",
+    "analysis/bias_tau0.1.json": "a43499750722ba8f606bfba449c4ed0ab4193bca49f6ff4d9b36240fe00e2f54",
+    "analysis/hist_r_tissue_y0.csv": "c1d37f8eab757cc95bead225f7cc9e0b599c90d2a1d140197aa884928445c34c",
+    "analysis/hist_r_tumor_tissue_y1.csv": "3774f2e87028c32b7a2bf337969c5257926e9390cc67daac3cfb80cf9e04c5c8",
+    "analysis/hist_r_tumor_y1.csv": "fd8e2cafb65d62c228f3d5591c24ba7bacdcfef97097abb1149dd0e1ece68200",
+}
 
 
 def _openblas_config() -> str | None:
@@ -69,3 +82,30 @@ def test_small_run_matches_pinned_hashes(tmp_path):
         for rel in ("train/results.json", "report/final_table.csv")
     }
     assert digest == {"train/results.json": RESULTS_SHA256, "report/final_table.csv": TABLE_SHA256}
+
+
+def _data_digests(out: Path) -> dict[str, str]:
+    """sha256 of every data-stage artifact: the images and the masks (one digest per
+    directory over names and bytes, in name order), the patch index and every analysis file."""
+    digest = {}
+    for sub in ("images", "masks"):
+        h = hashlib.sha256()
+        for path in sorted((out / "dataset" / sub).iterdir()):
+            h.update(path.name.encode())
+            h.update(path.read_bytes())
+        digest[f"dataset/{sub}"] = h.hexdigest()
+    rels = ["patches/patch_index.jsonl"] + [f"analysis/{p.name}" for p in sorted((out / "analysis").iterdir())]
+    for rel in rels:
+        digest[rel] = hashlib.sha256((out / rel).read_bytes()).hexdigest()
+    return digest
+
+
+def test_data_stages_match_pinned_hashes(tmp_path):
+    if np.__version__ != NUMPY_VERSION:
+        pytest.skip(f"data hashes are pinned for numpy {NUMPY_VERSION}, this is numpy {np.__version__}")
+    config = _pinned_config()
+    with redirect_stdout(io.StringIO()):
+        harness.cmd_generate(config, tmp_path)
+        harness.cmd_patchify(config, tmp_path)
+        harness.cmd_analyze(config, tmp_path)
+    assert _data_digests(tmp_path) == DATA_SHA256

@@ -2,6 +2,7 @@
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -212,6 +213,44 @@ def test_patch_index_matches_the_grid(tiny_run):
     assert set(first["z"]) == {"0.1", "0.03"}
     assert set(first["group"]) == {"0.1", "0.03"}
     assert first["group"]["0.1"] == 2 * first["label"] + first["z"]["0.1"]
+
+
+def test_interrupted_patchify_keeps_the_previous_index(tmp_path, monkeypatch):
+    cfg = mini_config()
+    harness.cmd_generate(cfg, tmp_path)
+    index = harness.cmd_patchify(cfg, tmp_path)
+    before = index.read_bytes()
+    calls = []
+    real_load = harness.load_scene
+
+    def fail_on_second_scene(root, entry):
+        calls.append(entry.image_id)
+        if len(calls) == 2:
+            raise OSError("read failed")
+        return real_load(root, entry)
+
+    monkeypatch.setattr(harness, "load_scene", fail_on_second_scene)
+    with pytest.raises(OSError, match="read failed"):
+        harness.cmd_patchify(cfg, tmp_path)
+    assert index.read_bytes() == before
+    assert [p.name for p in index.parent.iterdir()] == ["patch_index.jsonl"]
+
+
+def test_failed_analysis_write_keeps_the_previous_files(tiny_run, monkeypatch):
+    cfg, out = tiny_run
+    analysis = out / "analysis"
+    before = {p.name: p.read_bytes() for p in analysis.iterdir()}
+    real_replace = harness.os.replace
+
+    def refuse_bias_reports(src, dst):
+        if Path(dst).name.startswith("bias_tau"):
+            raise OSError("disk full")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(harness.os, "replace", refuse_bias_reports)
+    with pytest.raises(OSError, match="disk full"):
+        harness.cmd_analyze(cfg, out)
+    assert {p.name: p.read_bytes() for p in analysis.iterdir()} == before
 
 
 def test_analyze_artifacts(tiny_run):
