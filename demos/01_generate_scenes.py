@@ -33,7 +33,8 @@ image, mask = generate_scene(specs[0])
 again, _ = generate_scene(specs[0])
 print("regeneration is bit-identical:", np.array_equal(image.data, again.data))
 
-out = Path(tempfile.mkdtemp(prefix="patchbias_demo_")) / "scene.pbt"
-write_tensor(out, image.data)
-back = read_tensor(out)
-print(f"tensor container round trip ({out}):", np.array_equal(image.data, back))
+with tempfile.TemporaryDirectory(prefix="patchbias_demo_") as tmp:
+    out = Path(tmp) / "scene.pbt"
+    write_tensor(out, image.data)
+    back = read_tensor(out)
+print(f"tensor container round trip ({out.name}):", np.array_equal(image.data, back))

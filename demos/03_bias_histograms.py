@@ -48,11 +48,11 @@ for i in range(hist.n_bins):
     print(f"[{hist.bin_edges[i]:.2f}, {hist.bin_edges[i + 1]:.2f})  {hist.counts[i]:4d}  {bar}")
 print(f"excluded (undefined ratio): {hist.n_excluded}")
 
-out_dir = Path(tempfile.mkdtemp(prefix="patchbias_demo_"))
-for kind, label in (("tumor", 1), ("tissue", 0)):
-    path = out_dir / f"hist_{kind}.csv"
-    write_histogram_csv(histogram(records, kind, label, n_bins=10), path)
-    print("wrote", path)
+with tempfile.TemporaryDirectory(prefix="patchbias_demo_") as out_dir:
+    for kind, label in (("tumor", 1), ("tissue", 0)):
+        path = Path(out_dir) / f"hist_{kind}.csv"
+        write_histogram_csv(histogram(records, kind, label, n_bins=10), path)
+        print("wrote", path)
 
 # tissue share can also be recovered from pixels alone when labels are absent
 image, mask = generate_scene(SceneSpec(seed=501, height=96, width=96, channels=3,

@@ -20,24 +20,21 @@ from patchbias.training import TrainConfig, run_experiment
 config = harness.default_config()
 config["dataset"].update(images=160, height=96, width=96, seed=1001)
 config["patch"].update(height=32, width=32)
-config["train"].update(epochs=14, trials=1, beta=None, seed=5)
+# beta=None tunes beta over the grid on validation
+config["train"].update(epochs=14, trials=1, beta=None, seed=5, beta_grid=[0.0, 0.5, 1.0])
 
-out = Path(tempfile.mkdtemp(prefix="patchbias_demo_"))
-harness.cmd_generate(config, out)
-harness.cmd_patchify(config, out)
+with tempfile.TemporaryDirectory(prefix="patchbias_demo_") as tmp:
+    out = Path(tmp)
+    harness.cmd_generate(config, out)
+    harness.cmd_patchify(config, out)
+    data_by_tau, _ = harness.build_split_data(config, out)
 
-data_by_tau, _ = harness.build_split_data(config, out)
 tau = 0.1
 train, val, test = data_by_tau[tau]
 print(f"\ntraining on {train.size} patches, validating on {val.size}, testing on {test.size}")
 
-base = TrainConfig(
-    method="erm", eval_metric="wga", tau=tau,
-    batch_size=64, epochs=14, lr=0.05, momentum=0.9, seed=5, trials=1,
-    beta_grid=(0.0, 0.5, 1.0),  # tuned on validation below
-)
 report = run_experiment(
-    harness.model_spec_from_config(config), {tau: (train, val, test)}, base
+    harness.model_spec_from_config(config), {tau: (train, val, test)}, TrainConfig(**config["train"])
 )
 
 print("\nrow        test WGA  test BCA   per-group accuracy")

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Verify a checkout: the tier-1 tests, the benchmark self-tests and, with
-# --full, a run of the default config checked against the golden fingerprint
-# in ROADMAP.md.
+# Verify a checkout: the tier-1 tests, the benchmark self-tests, the demos
+# and, with --full, a run of the default config checked against the golden
+# fingerprint in ROADMAP.md.
 #
-#   scripts/verify.sh          # tier-1 tests + perfbench self-tests (about 5 min on 2 cores)
+#   scripts/verify.sh          # tier-1 tests + perfbench self-tests + demos (about 5 min on 2 cores)
 #   scripts/verify.sh --full   # also the default pipeline in a temporary out root (about 3 min more)
 #
 # Exits non-zero on the first failing step or on a fingerprint mismatch. The
@@ -28,6 +28,11 @@ echo "== tier-1 tests"
 python -m pytest -q --continue-on-collection-errors
 echo "== benchmark self-tests"
 python3 -m pytest perfbench -q
+echo "== demos"
+for demo in demos/*.py; do
+  echo "$demo"
+  python3 "$demo" > /dev/null
+done
 
 if [ "$full" = 0 ]; then
   exit 0

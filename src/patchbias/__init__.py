@@ -51,10 +51,8 @@ from .training import (
     extrapolated_gradient,
     gerne_step,
     run_experiment,
-    run_trial,
     sgd_update,
     train_history,
-    tune_beta,
 )
 
 __all__ = [
@@ -74,5 +72,5 @@ __all__ = [
     "read_tensor", "write_tensor",
     "CellReport", "RunReport", "SplitData", "TrainConfig", "TrialOutcome",
     "erm_step", "extrapolated_gradient", "gerne_step", "run_experiment",
-    "run_trial", "sgd_update", "train_history", "tune_beta",
+    "sgd_update", "train_history",
 ]

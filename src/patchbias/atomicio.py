@@ -1,4 +1,4 @@
-"""Replace a text artifact in one step, so no stage ever reads a half-written file.
+"""Replace an artifact in one step, so no stage ever reads a half-written file.
 
 Writes go to a temporary file in the target's directory (`.<name>.<pid>.tmp`)
 and `os.replace` moves it over the target, a rename within one file system.
@@ -13,21 +13,27 @@ from typing import IO, Iterator
 
 
 @contextmanager
-def open_atomic(path: str | Path, newline: str | None = None) -> Iterator[IO[str]]:
-    """A UTF-8 text handle whose contents replace `path` when the block exits normally.
+def atomic_path(path: str | Path) -> Iterator[Path]:
+    """A temporary path to write to, moved over `path` when the block exits normally.
 
-    If the block raises, or the write or the replace fails, the temporary file
-    is removed and `path` keeps its previous contents.
+    If the block raises, or the replace fails, the temporary file is removed
+    and `path` keeps its previous contents.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
-            yield fh
+        yield tmp
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+@contextmanager
+def open_atomic(path: str | Path, newline: str | None = None) -> Iterator[IO[str]]:
+    """A UTF-8 text handle whose contents replace `path` when the block exits normally."""
+    with atomic_path(path) as tmp, open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+        yield fh
 
 
 def write_atomic(path: str | Path, text: str) -> None:

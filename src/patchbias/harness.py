@@ -17,6 +17,7 @@ section except out_root, so moving a run does not change its identity.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -28,9 +29,9 @@ import numpy as np
 
 from . import __version__
 from .analysis import bias_report, histogram, overlay_predictions, write_histogram_csv
-from .atomicio import write_atomic
+from .atomicio import open_atomic, write_atomic
 from .composition import assign_group, binarize_spurious, compute_ratios, infer_tissue
-from .errors import ValidationError
+from .errors import ValidationError, is_int, is_number
 from .model import ClassifierSpec, save_checkpoint
 from .patchgrid import PatchGridSpec, binary_label, partition
 from .records import PatchRecord, read_patch_index, tau_key, write_patch_index
@@ -42,13 +43,7 @@ from .synthdata import (
     load_scene,
     materialize,
 )
-from .training import (
-    DEFAULT_ROWS,
-    RunReport,
-    SplitData,
-    TrainConfig,
-    run_experiment,
-)
+from .training import ROWS, RunReport, SplitData, TrainConfig, run_experiment
 
 ENV_OUT_ROOT = "PATCHBIAS_OUT"
 _HIST_FILES = (
@@ -104,18 +99,10 @@ def default_config() -> dict:
     }
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _check_range(section: str, key: str, v, lo_ok=None, hi_ok=None) -> None:
     name = f"{section}.{key}"
-    if not (isinstance(v, list) and len(v) == 2 and all(_is_number(x) for x in v)):
-        raise ValidationError(f"config field {name} must be a [low, high] number pair")
+    if not (isinstance(v, list) and len(v) == 2 and all(is_number(x) for x in v)):
+        raise ValidationError(f"config field {name} must be a [low, high] pair of finite numbers")
     if v[0] > v[1]:
         raise ValidationError(f"config field {name} must have low <= high, got {v}")
     if lo_ok is not None and v[0] < lo_ok:
@@ -156,62 +143,46 @@ def validate_config(config: dict) -> None:
         "background_intensity_max", "noise_sigma", "rim_thickness", "split_fractions",
     })
     for key in ("images", "height", "width", "channels", "seed"):
-        if not _is_int(d[key]) or d[key] < (0 if key == "seed" else 1):
+        if not is_int(d[key]) or d[key] < (0 if key == "seed" else 1):
             raise ValidationError(f"config field dataset.{key} must be a positive integer")
     _check_range("dataset", "tumor_blob_count_range", d["tumor_blob_count_range"], lo_ok=0)
-    if not all(_is_int(x) for x in d["tumor_blob_count_range"]):
+    if not all(is_int(x) for x in d["tumor_blob_count_range"]):
         raise ValidationError("config field dataset.tumor_blob_count_range must hold integers")
     _check_range("dataset", "tumor_coverage_range", d["tumor_coverage_range"], 0.0, 1.0)
     _check_range("dataset", "healthy_coverage_range", d["healthy_coverage_range"], 0.0, 1.0)
     for key in ("background_intensity_max", "noise_sigma", "rim_thickness"):
-        if not _is_number(d[key]) or d[key] < 0:
-            raise ValidationError(f"config field dataset.{key} must be a non-negative number")
+        if not is_number(d[key]) or d[key] < 0:
+            raise ValidationError(f"config field dataset.{key} must be a non-negative finite number")
     sf = d["split_fractions"]
-    if not (isinstance(sf, list) and len(sf) == 3 and all(_is_number(x) and x >= 0 for x in sf)):
+    if not (isinstance(sf, list) and len(sf) == 3 and all(is_number(x) and x >= 0 for x in sf)):
         raise ValidationError("config field dataset.split_fractions must be three non-negative numbers")
     if abs(sum(sf) - 1.0) > 1e-9:
         raise ValidationError(f"config field dataset.split_fractions must sum to 1, got {sf}")
 
     p = check_section("patch", {"height", "width", "taus", "epsilon"})
     for key in ("height", "width"):
-        if not _is_int(p[key]) or p[key] < 1:
+        if not is_int(p[key]) or p[key] < 1:
             raise ValidationError(f"config field patch.{key} must be a positive integer")
     taus = p["taus"]
-    if not (isinstance(taus, list) and taus and all(_is_number(t) and 0.0 <= t <= 1.0 for t in taus)):
+    if not (isinstance(taus, list) and taus and all(is_number(t) and 0.0 <= t <= 1.0 for t in taus)):
         raise ValidationError("config field patch.taus must be a non-empty list of numbers in [0, 1]")
     if len({tau_key(t) for t in taus}) != len(taus):
         raise ValidationError("config field patch.taus must not repeat thresholds")
-    if not _is_number(p["epsilon"]) or not 0.0 < p["epsilon"] < 1.0:
+    if not is_number(p["epsilon"]) or not 0.0 < p["epsilon"] < 1.0:
         raise ValidationError("config field patch.epsilon must be a number in (0, 1)")
 
     a = check_section("analysis", {"n_bins", "split"})
-    if not _is_int(a["n_bins"]) or a["n_bins"] < 1:
+    if not is_int(a["n_bins"]) or a["n_bins"] < 1:
         raise ValidationError("config field analysis.n_bins must be a positive integer")
     if a["split"] not in SPLITS:
         raise ValidationError(f"config field analysis.split must be one of {SPLITS}")
 
     m = check_section("model", {"k1", "k2", "pool_target"})
     for key in ("k1", "k2", "pool_target"):
-        if not _is_int(m[key]) or m[key] < 1:
+        if not is_int(m[key]) or m[key] < 1:
             raise ValidationError(f"config field model.{key} must be a positive integer")
 
-    t = check_section("train", {
-        "batch_size", "epochs", "lr", "momentum", "seed", "trials", "beta", "beta_grid",
-    })
-    for key in ("batch_size", "epochs", "trials"):
-        if not _is_int(t[key]) or t[key] < 1:
-            raise ValidationError(f"config field train.{key} must be a positive integer")
-    if not _is_int(t["seed"]) or t["seed"] < 0:
-        raise ValidationError("config field train.seed must be a non-negative integer")
-    if not _is_number(t["lr"]) or t["lr"] <= 0:
-        raise ValidationError("config field train.lr must be a positive number")
-    if not _is_number(t["momentum"]) or not 0.0 <= t["momentum"] < 1.0:
-        raise ValidationError("config field train.momentum must be a number in [0, 1)")
-    if t["beta"] is not None and not _is_number(t["beta"]):
-        raise ValidationError("config field train.beta must be a number or null")
-    bg = t["beta_grid"]
-    if not (isinstance(bg, list) and bg and all(_is_number(b) for b in bg)):
-        raise ValidationError("config field train.beta_grid must be a non-empty list of numbers")
+    TrainConfig(**check_section("train", {f.name for f in dataclasses.fields(TrainConfig)}))
 
 
 def load_config(path: str | Path) -> dict:
@@ -521,23 +492,6 @@ def build_split_data(
     return data_by_tau, by_split
 
 
-def _train_config_from(config: dict) -> TrainConfig:
-    t = config["train"]
-    return TrainConfig(
-        method="erm",
-        eval_metric="bca",
-        tau=config["patch"]["taus"][0],
-        batch_size=t["batch_size"],
-        epochs=t["epochs"],
-        lr=t["lr"],
-        momentum=t["momentum"],
-        seed=t["seed"],
-        trials=t["trials"],
-        beta=t["beta"],
-        beta_grid=tuple(t["beta_grid"]),
-    )
-
-
 def model_spec_from_config(config: dict) -> ClassifierSpec:
     return ClassifierSpec(
         input_height=config["patch"]["height"],
@@ -561,8 +515,7 @@ def cmd_train(config: dict, out_root: Path) -> RunReport:
     data_by_tau, by_split = build_split_data(config, out_root)
     test_records = by_split["test"]
     model_spec = model_spec_from_config(config)
-    base = _train_config_from(config)
-    report = run_experiment(model_spec, data_by_tau, base, rows=DEFAULT_ROWS)
+    report = run_experiment(model_spec, data_by_tau, TrainConfig(**config["train"]))
 
     train_dir = out_root / "train"
     artifacts = {}
@@ -571,12 +524,12 @@ def cmd_train(config: dict, out_root: Path) -> RunReport:
         for k, outcome in enumerate(cell.outcomes):
             tdir = cdir / f"trial{k}"
             tdir.mkdir(parents=True, exist_ok=True)
-            with (tdir / "epochs.csv").open("w") as fh:
+            with open_atomic(tdir / "epochs.csv") as fh:
                 fh.write("epoch,train_loss,val_wga,val_bca\n")
                 for row in outcome.log:
                     fh.write(f"{row.epoch},{row.train_loss:.6f},{row.val_wga:.6f},{row.val_bca:.6f}\n")
             save_checkpoint(tdir / "checkpoint.pbt", model_spec, outcome.checkpoint.params)
-            with (tdir / "test_predictions.csv").open("w") as fh:
+            with open_atomic(tdir / "test_predictions.csv") as fh:
                 fh.write("image_id,grid_row,grid_col,label,pred\n")
                 for rec, pred in zip(test_records, outcome.test_preds):
                     fh.write(f"{rec.image_id},{rec.grid_row},{rec.grid_col},{rec.label},{int(pred)}\n")
@@ -600,7 +553,7 @@ def cmd_train(config: dict, out_root: Path) -> RunReport:
     return report
 
 
-_ROW_ORDER = tuple(f"{m.upper()}+{e.upper()}" for m, e in DEFAULT_ROWS)
+_ROW_ORDER = tuple(f"{m.upper()}+{e.upper()}" for m, e in ROWS)
 
 
 def cmd_report(config: dict, out_root: Path) -> Path:

@@ -31,6 +31,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from .atomicio import atomic_path
 from .errors import ValidationError
 from .tensorio import read_tensor, write_tensor
 
@@ -313,15 +314,20 @@ def relu_margin(spec: ClassifierSpec, params: ParamVector, batch: np.ndarray) ->
 
 
 def save_checkpoint(path: str | Path, spec: ClassifierSpec, params: ParamVector) -> None:
-    """Tensor container holds the flat parameters (as float32); JSON sidecar holds the spec."""
+    """Tensor container holds the flat parameters (as float32); JSON sidecar holds the spec.
+
+    Both files are written in full to temporaries before either replaces its
+    target, so a failed write leaves the previous checkpoint pair intact.
+    """
     path = Path(path)
-    write_tensor(path, params.values.astype(np.float32))
     sidecar = {
         "classifier_spec": asdict(spec),
         "layout": [[name, list(shape), offset] for name, shape, offset in params.layout],
         "stored_dtype": "float32",
     }
-    path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2, sort_keys=True))
+    with atomic_path(path) as tensor_tmp, atomic_path(path.with_suffix(".json")) as sidecar_tmp:
+        write_tensor(tensor_tmp, params.values.astype(np.float32))
+        sidecar_tmp.write_text(json.dumps(sidecar, indent=2, sort_keys=True))
 
 
 def load_checkpoint(path: str | Path) -> tuple[ClassifierSpec, ParamVector]:

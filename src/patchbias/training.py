@@ -10,27 +10,30 @@ evaluated as (1 + beta) * g_lb - beta * g_b so that beta = 0 reduces exactly
 to the less-biased gradient and beta = -1 to the biased one. beta > 0
 extrapolates past the balanced batch, beta in (-1, 0) interpolates.
 
-Experiments run several seeds per (method, selection metric, threshold) cell
-and report test worst-group and balanced-class accuracy as mean +/- sample
-std. Checkpoint selection happens on validation after every epoch; ERM
-trajectories are trained once per seed and re-selected per cell, since the
-weights do not depend on the threshold or the selection metric.
+`run_experiment` is the one way into training. At every threshold tau it
+fills each row of ROWS, a (method, selection metric) pair, with `trials`
+seeded runs and reports test worst-group and balanced-class accuracy as
+mean +/- sample std. Checkpoint selection happens on validation after every
+epoch. The thresholds share the patch and label arrays and differ only in
+group ids, which ERM never reads, so one ERM trajectory per seed serves every
+threshold and both selection metrics. When beta is not fixed, each threshold
+tunes it on validation at the first seed and reuses the chosen trajectory as
+its first trial.
 
 Pooling is the model's fixed first layer, so every entry point pools a split
 once (`model.pool`) and then indexes the pooled arrays: a trajectory pools
 its training split, selection pools validation, evaluation pools test, and
-`run_experiment` pools each distinct array once for all thresholds.
+`run_experiment` pools the three shared arrays once for all thresholds.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import NonFiniteGradientError, ValidationError
+from .errors import NonFiniteGradientError, ValidationError, is_int, is_number
 from .metrics import N_GROUPS, EvalResult, evaluate
 from .model import ClassifierSpec, ParamVector, init_params, loss_and_grad, param_layout, pool, predict
 from .sampler import GroupedDataset, draw_biased, draw_erm, draw_less_biased, erm_steps_per_epoch
@@ -40,44 +43,39 @@ METHOD_GERNE = "gerne"
 METHODS = (METHOD_ERM, METHOD_GERNE)
 EVAL_METRICS = ("wga", "bca")
 DEFAULT_BETA_GRID = (-0.5, 0.0, 0.5, 1.0, 2.0)
-DEFAULT_ROWS = ((METHOD_ERM, "bca"), (METHOD_ERM, "wga"), (METHOD_GERNE, "wga"))
+# (method, selection metric) per result row, in the order of results.json and the final table
+ROWS = ((METHOD_ERM, "bca"), (METHOD_ERM, "wga"), (METHOD_GERNE, "wga"))
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    method: str
-    eval_metric: str
-    tau: float
+    """The config's `train` section; an invalid value raises on construction."""
+
     batch_size: int = 64
     epochs: int = 20
     lr: float = 0.01
     momentum: float = 0.9
     seed: int = 0
     trials: int = 3
-    beta: float | None = None
+    beta: float | None = None  # None tunes beta over beta_grid
     beta_grid: tuple[float, ...] = DEFAULT_BETA_GRID
 
-    def validate(self) -> None:
-        if self.method not in METHODS:
-            raise ValidationError(f"unknown method {self.method!r}, expected one of {METHODS}")
-        if self.eval_metric not in EVAL_METRICS:
-            raise ValidationError(f"unknown eval_metric {self.eval_metric!r}, expected one of {EVAL_METRICS}")
-        if not 0.0 <= self.tau <= 1.0:
-            raise ValidationError(f"tau must lie in [0, 1], got {self.tau}")
-        if self.batch_size < 1:
-            raise ValidationError("batch_size must be >= 1")
-        if self.epochs < 1:
-            raise ValidationError("epochs must be >= 1")
-        if self.lr <= 0:
-            raise ValidationError("lr must be positive")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValidationError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if self.trials < 1:
-            raise ValidationError("trials must be >= 1")
-        if self.beta is not None and not math.isfinite(self.beta):
-            raise ValidationError("beta must be finite")
-        if not self.beta_grid:
-            raise ValidationError("beta_grid must be non-empty")
+    def __post_init__(self) -> None:
+        for key in ("batch_size", "epochs", "trials"):
+            if not is_int(getattr(self, key)) or getattr(self, key) < 1:
+                raise ValidationError(f"config field train.{key} must be a positive integer")
+        if not is_int(self.seed) or self.seed < 0:
+            raise ValidationError("config field train.seed must be a non-negative integer")
+        if not is_number(self.lr) or self.lr <= 0:
+            raise ValidationError("config field train.lr must be a positive finite number")
+        if not is_number(self.momentum) or not 0.0 <= self.momentum < 1.0:
+            raise ValidationError("config field train.momentum must be a number in [0, 1)")
+        if self.beta is not None and not is_number(self.beta):
+            raise ValidationError("config field train.beta must be a finite number or null")
+        grid = self.beta_grid
+        if not (isinstance(grid, (list, tuple)) and grid and all(is_number(b) for b in grid)):
+            raise ValidationError("config field train.beta_grid must be a non-empty list of finite numbers")
+        object.__setattr__(self, "beta_grid", tuple(grid))
 
 
 @dataclass
@@ -175,9 +173,7 @@ class History:
     """Per-epoch parameter snapshots from one training run."""
 
     spec: ClassifierSpec
-    method: str
     seed: int
-    beta: float | None
     snapshots: list[np.ndarray]
     train_losses: list[float]
 
@@ -233,7 +229,7 @@ def train_history(
                 epoch_losses.append(0.5 * (loss_b + loss_lb))
         snapshots.append(params.values.copy())
         losses.append(float(np.mean(epoch_losses)))
-    return History(spec=spec, method=method, seed=seed, beta=beta, snapshots=snapshots, train_losses=losses)
+    return History(spec=spec, seed=seed, snapshots=snapshots, train_losses=losses)
 
 
 @dataclass
@@ -255,7 +251,6 @@ class Checkpoint:
 @dataclass
 class TrialOutcome:
     seed: int
-    eval_metric: str
     checkpoint: Checkpoint
     log: list[EpochRecord]
     test_eval: EvalResult
@@ -311,58 +306,9 @@ def evaluate_outcome(
     preds = _predict_split(history.spec, checkpoint.params.values, test.pooled(history.spec))
     test_eval = evaluate(preds, test.y, test.groups)
     return TrialOutcome(
-        seed=history.seed, eval_metric=eval_metric, checkpoint=checkpoint,
+        seed=history.seed, checkpoint=checkpoint,
         log=log, test_eval=test_eval, test_preds=preds,
     )
-
-
-def run_trial(
-    model_spec: ClassifierSpec,
-    config: TrainConfig,
-    train: SplitData,
-    val: SplitData,
-    test: SplitData,
-) -> TrialOutcome:
-    """Train once with config.seed, select the best epoch on validation, evaluate on test."""
-    config.validate()
-    if config.method == METHOD_GERNE and config.beta is None:
-        raise ValidationError("run_trial needs an explicit beta for gerne; tune it via run_experiment")
-    history = train_history(
-        model_spec, config.method, train,
-        seed=config.seed, epochs=config.epochs, batch_size=config.batch_size,
-        lr=config.lr, momentum=config.momentum, beta=config.beta,
-    )
-    return evaluate_outcome(history, val, test, config.eval_metric)
-
-
-def tune_beta(
-    model_spec: ClassifierSpec,
-    config: TrainConfig,
-    train: SplitData,
-    val: SplitData,
-) -> tuple[float, dict[float, float]]:
-    """Pick beta from config.beta_grid by validation score at the tuning seed.
-
-    Ties keep the earlier grid entry. Returns (best_beta, score per beta).
-    """
-    config.validate()
-    train, val = train.pooled(model_spec), val.pooled(model_spec)
-    scores: dict[float, float] = {}
-    best_beta, best_score = None, -np.inf
-    for beta in config.beta_grid:
-        history = train_history(
-            model_spec, METHOD_GERNE, train,
-            seed=config.seed, epochs=config.epochs, batch_size=config.batch_size,
-            lr=config.lr, momentum=config.momentum, beta=beta,
-        )
-        checkpoint, _ = select_checkpoint(history, val, config.eval_metric)
-        score = checkpoint.val_wga if config.eval_metric == "wga" else checkpoint.val_bca
-        scores[beta] = score
-        if score > best_score:
-            best_score = score
-            best_beta = beta
-    assert best_beta is not None
-    return best_beta, scores
 
 
 @dataclass
@@ -445,7 +391,6 @@ def _trial_report(outcome: TrialOutcome) -> TrialReport:
 @dataclass
 class RunReport:
     cells: list[CellReport]
-    elapsed_seconds: float
 
     def cell(self, method: str, eval_metric: str, tau: float) -> CellReport:
         for c in self.cells:
@@ -457,110 +402,68 @@ class RunReport:
 def run_experiment(
     model_spec: ClassifierSpec,
     data_by_tau: dict[float, tuple[SplitData, SplitData, SplitData]],
-    base_config: TrainConfig,
-    rows: tuple[tuple[str, str], ...] = DEFAULT_ROWS,
-    trial_seeds: list[int] | None = None,
+    config: TrainConfig,
 ) -> RunReport:
-    """Full result grid: every (method, eval_metric) row at every threshold.
+    """Every row of ROWS at every threshold, with trial i at seed config.seed + i.
 
-    Trial i runs with seed base_config.seed + i unless trial_seeds overrides
-    the list. ERM trajectories are shared across cells with the same seed;
-    gerne rows tune beta on validation at the first trial seed when
-    base_config.beta is None. Before anything trains, every threshold is
-    checked for the groups its rows need: all four in train for gerne rows,
-    all four in validation for worst-group selection.
+    Before anything trains, every threshold must share the first threshold's
+    patch and label arrays, hold all four groups in train (balanced sampling)
+    and all four in validation (worst-group selection).
     """
-    base_config.validate()
-    if not rows:
-        raise ValidationError("row grid must be non-empty")
     if not data_by_tau:
         raise ValidationError("data grid must be non-empty")
-    for method, metric in rows:
-        if method not in METHODS or metric not in EVAL_METRICS:
-            raise ValidationError(f"bad row ({method!r}, {metric!r})")
-    if trial_seeds is None:
-        trial_seeds = [base_config.seed + i for i in range(base_config.trials)]
-    if len(trial_seeds) != base_config.trials:
-        raise ValidationError(f"expected {base_config.trials} trial seeds, got {len(trial_seeds)}")
-    for tau, (train, val, _) in data_by_tau.items():
+    shared = next(iter(data_by_tau.values()))
+    for tau, splits in data_by_tau.items():
+        if any(s.x is not first.x or s.y is not first.y for s, first in zip(splits, shared)):
+            raise ValidationError(
+                f"every threshold must share the first threshold's patch and label arrays (tau={tau})"
+            )
+        train, val, _ = splits
         missing = _missing_groups(train.groups)
-        if missing and any(method == METHOD_GERNE for method, _ in rows):
+        if missing:
             raise ValidationError(
                 f"group {missing[0]} is empty; balanced sampling needs all four groups "
                 f"(training split at tau={tau})"
             )
         missing = _missing_groups(val.groups)
-        if missing and any(metric == "wga" for _, metric in rows):
+        if missing:
             raise ValidationError(
                 f"worst-group selection needs every group in the validation split; missing {missing} "
                 f"(tau={tau})"
             )
 
-    started = time.monotonic()
-    # pool each distinct patch array once; thresholds that share pixels share
-    # the pooled array too, which keeps the ERM cache key below valid
-    pooled: dict[int, np.ndarray] = {}
-
-    def pooled_split(split: SplitData) -> SplitData:
-        if id(split.x) not in pooled:
-            pooled[id(split.x)] = pool(model_spec, split.x)
-        return replace(split, x=pooled[id(split.x)])
-
-    data_by_tau = {tau: tuple(pooled_split(s) for s in splits) for tau, splits in data_by_tau.items()}
-    erm_histories: dict[tuple[int, int, int], History] = {}
-    gerne_histories: dict[tuple[int, float, float], History] = {}
-
-    def erm_history(seed: int, train: SplitData) -> History:
-        # ERM weights do not depend on tau (only group ids change with it),
-        # so trajectories are shared whenever the underlying arrays are
-        key = (seed, id(train.x), id(train.y))
-        if key not in erm_histories:
-            erm_histories[key] = train_history(
-                model_spec, METHOD_ERM, train,
-                seed=seed, epochs=base_config.epochs, batch_size=base_config.batch_size,
-                lr=base_config.lr, momentum=base_config.momentum,
-            )
-        return erm_histories[key]
-
-    def gerne_history(seed: int, tau: float, beta: float, train: SplitData) -> History:
-        key = (seed, tau, beta)
-        if key not in gerne_histories:
-            gerne_histories[key] = train_history(
-                model_spec, METHOD_GERNE, train,
-                seed=seed, epochs=base_config.epochs, batch_size=base_config.batch_size,
-                lr=base_config.lr, momentum=base_config.momentum, beta=beta,
-            )
-        return gerne_histories[key]
+    pooled = [pool(model_spec, s.x) for s in shared]
+    seeds = [config.seed + i for i in range(config.trials)]
+    sgd = dict(epochs=config.epochs, batch_size=config.batch_size, lr=config.lr, momentum=config.momentum)
+    erm_train = replace(shared[0], x=pooled[0])
+    erm = [train_history(model_spec, METHOD_ERM, erm_train, seed=seed, **sgd) for seed in seeds]
 
     cells: list[CellReport] = []
-    for tau, (train, val, test) in data_by_tau.items():
-        for method, metric in rows:
-            beta: float | None = None
-            beta_scores: dict[float, float] = {}
+    for tau, splits in data_by_tau.items():
+        train, val, test = (replace(s, x=x) for s, x in zip(splits, pooled))
+        for method, metric in ROWS:
+            beta, beta_scores, histories = None, {}, erm
             if method == METHOD_GERNE:
-                if base_config.beta is not None:
-                    beta = base_config.beta
-                else:
-                    # tune on validation at the first trial seed, reusing histories
-                    best_beta, best_score = None, -np.inf
-                    for b in base_config.beta_grid:
-                        history = gerne_history(trial_seeds[0], tau, b, train)
+                beta, histories = config.beta, []
+                if beta is None:
+                    # a repeated grid entry names the same trajectory, so it trains once
+                    grid = list(dict.fromkeys(config.beta_grid))
+                    tuned = [
+                        train_history(model_spec, METHOD_GERNE, train, seed=seeds[0], beta=b, **sgd)
+                        for b in grid
+                    ]
+                    scores = []
+                    for history in tuned:
                         checkpoint, _ = select_checkpoint(history, val, metric)
-                        score = checkpoint.val_wga if metric == "wga" else checkpoint.val_bca
-                        beta_scores[b] = score
-                        if score > best_score:
-                            best_score, best_beta = score, b
-                    beta = best_beta
-
-            outcomes: list[TrialOutcome] = []
-            for seed in trial_seeds:
-                if method == METHOD_ERM:
-                    history = erm_history(seed, train)
-                else:
-                    assert beta is not None
-                    history = gerne_history(seed, tau, beta, train)
-                outcomes.append(evaluate_outcome(history, val, test, metric))
-
+                        scores.append(checkpoint.val_wga if metric == "wga" else checkpoint.val_bca)
+                    best = scores.index(max(scores))  # a tie keeps the earlier grid entry
+                    beta, beta_scores, histories = grid[best], dict(zip(grid, scores)), [tuned[best]]
+                # a tuned beta's grid trajectory is already trial 0
+                histories += [
+                    train_history(model_spec, METHOD_GERNE, train, seed=seed, beta=beta, **sgd)
+                    for seed in seeds[len(histories):]
+                ]
+            outcomes = [evaluate_outcome(h, val, test, metric) for h in histories]
             wgas = [o.test_eval.wga for o in outcomes]
             bcas = [o.test_eval.bca for o in outcomes]
             cells.append(CellReport(
@@ -570,4 +473,4 @@ def run_experiment(
                 bca_mean=float(np.mean(bcas)), bca_std=_sample_std(bcas),
                 outcomes=outcomes,
             ))
-    return RunReport(cells=cells, elapsed_seconds=time.monotonic() - started)
+    return RunReport(cells=cells)

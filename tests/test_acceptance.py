@@ -5,10 +5,12 @@ scan shows where the build stands. The experiment-level criteria share one
 full default-config pipeline run via a module fixture.
 """
 
+import hashlib
 import time
 
 import numpy as np
 import pytest
+from test_golden import skip_unless_pinned_runtime
 
 from patchbias import harness
 from patchbias.analysis import histogram, overlay_predictions
@@ -242,6 +244,25 @@ def default_run(tmp_path_factory):
     harness.cmd_report(cfg, out)
     elapsed = time.monotonic() - started
     return cfg, out, report, elapsed
+
+
+# the golden fingerprint of the default config (see ROADMAP.md and scripts/verify.sh)
+DEFAULT_RESULTS_SHA256 = "87b1284f0cf4cacaeacc15b56ce21acb756bb1f1d5ea850ff2d0b284a345b260"
+DEFAULT_TABLE_SHA256 = "fa904d0439f3924ec362917cf98bee14c2946b2e4e842c11ba96552b638bdbb0"
+
+
+def test_default_run_matches_the_golden_fingerprint(default_run):
+    skip_unless_pinned_runtime()
+    _, out, _, _ = default_run
+    got = [
+        hashlib.sha256((out / rel).read_bytes()).hexdigest()
+        for rel in ("train/results.json", "report/final_table.csv")
+    ]
+    _check(
+        got == [DEFAULT_RESULTS_SHA256, DEFAULT_TABLE_SHA256],
+        "default fingerprint",
+        f"results.json {got[0]}, final_table.csv {got[1]}",
+    )
 
 
 def test_criterion_4_directional_reproduction(default_run):

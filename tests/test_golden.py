@@ -55,6 +55,16 @@ def _openblas_config() -> str | None:
     return None
 
 
+def skip_unless_pinned_runtime() -> None:
+    """Skip the calling test unless numpy and OpenBLAS are the runtime the result hashes hold for."""
+    blas = _openblas_config()
+    if np.__version__ != NUMPY_VERSION or blas != OPENBLAS_CONFIG:
+        pytest.skip(
+            f"hashes are pinned for numpy {NUMPY_VERSION} with {OPENBLAS_CONFIG!r}; "
+            f"this is numpy {np.__version__} with {blas!r}, whose float rounding may differ"
+        )
+
+
 def _pinned_config() -> dict:
     cfg = harness.default_config()
     cfg["dataset"].update(images=80, height=96, width=96, seed=1001, split_fractions=[0.4, 0.3, 0.3])
@@ -69,12 +79,7 @@ def test_pinned_config_pools_its_patches():
 
 
 def test_small_run_matches_pinned_hashes(tmp_path):
-    blas = _openblas_config()
-    if np.__version__ != NUMPY_VERSION or blas != OPENBLAS_CONFIG:
-        pytest.skip(
-            f"hashes are pinned for numpy {NUMPY_VERSION} with {OPENBLAS_CONFIG!r}; "
-            f"this is numpy {np.__version__} with {blas!r}, whose float rounding may differ"
-        )
+    skip_unless_pinned_runtime()
     with redirect_stdout(io.StringIO()):
         harness.run_pipeline(_pinned_config(), tmp_path)
     digest = {

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from patchbias import harness
+from patchbias import harness, model
 from patchbias.cli import main as cli_main
 from patchbias.errors import ValidationError
 from patchbias.model import load_checkpoint
@@ -70,13 +70,23 @@ def test_default_config_is_valid():
         (lambda c: c["train"].update(beta="big"), "train.beta"),
         (lambda c: c["train"].update(beta_grid=[]), "train.beta_grid"),
         (lambda c: c.update(out_root=""), "out_root"),
+        # json reads NaN and Infinity as floats; a config number must be finite
+        (lambda c: c["train"].update(lr=float("nan")), "train.lr"),
+        (lambda c: c["train"].update(beta=float("inf")), "train.beta must be a finite number"),
+        (lambda c: c["train"].update(beta_grid=[0.0, float("nan")]), "train.beta_grid .* finite"),
+        (lambda c: c["dataset"].update(noise_sigma=float("nan")), "dataset.noise_sigma"),
+        (lambda c: c["dataset"].update(rim_thickness=float("inf")), "dataset.rim_thickness"),
+        (lambda c: c["dataset"].update(background_intensity_max=float("nan")), "dataset.background_intensity_max"),
+        (lambda c: c["dataset"].update(tumor_coverage_range=[float("nan"), 0.3]), "dataset.tumor_coverage_range"),
     ],
 )
-def test_config_validation_names_the_field(mutate, message):
+def test_config_validation_names_the_field(mutate, message, tmp_path):
     cfg = harness.default_config()
     mutate(cfg)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
     with pytest.raises(ValidationError, match=message):
-        harness.validate_config(cfg)
+        harness.load_config(path)
 
 
 def test_config_hash_ignores_key_order_and_out_root():
@@ -296,6 +306,35 @@ def test_train_artifacts(tiny_run):
             assert {p["pred"] for p in preds} <= {"0", "1"}
 
 
+@pytest.mark.parametrize("failure", ["checkpoint", "predictions"])
+def test_failed_train_write_keeps_the_previous_trial_files(tiny_run, monkeypatch, failure):
+    cfg, out = tiny_run
+    train_dir = out / "train"
+
+    def files():
+        return {p.relative_to(train_dir): p.read_bytes() for p in train_dir.rglob("*") if p.is_file()}
+
+    before = files()
+    if failure == "checkpoint":
+        def cut_short(path, array):
+            Path(path).write_bytes(b"PBTENSR1")  # the header is out, then the disk fills
+            raise OSError("disk full")
+
+        monkeypatch.setattr(model, "write_tensor", cut_short)
+    else:
+        real_replace = harness.os.replace
+
+        def refuse_predictions(src, dst):
+            if Path(dst).name == "test_predictions.csv":
+                raise OSError("disk full")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(harness.os, "replace", refuse_predictions)
+    with pytest.raises(OSError, match="disk full"):
+        harness.cmd_train(cfg, out)
+    assert files() == before
+
+
 def test_gerne_beta_fixed_by_config_skips_tuning(tiny_run):
     _, out = tiny_run
     results = json.loads((out / "train" / "results.json").read_text())
@@ -419,6 +458,11 @@ def test_cli_error_paths(tmp_path, capsys):
     cfg["dataset"]["images"] = -4
     assert cli_main(["generate", "--config", str(_write_config(tmp_path, cfg)), "--out", str(tmp_path)]) == 2
     assert "dataset.images" in capsys.readouterr().err
+
+    cfg = mini_config()
+    cfg["dataset"]["rim_thickness"] = float("inf")  # written as Infinity, which json reads back
+    assert cli_main(["generate", "--config", str(_write_config(tmp_path, cfg)), "--out", str(tmp_path)]) == 2
+    assert "dataset.rim_thickness" in capsys.readouterr().err
 
 
 def test_cli_honors_the_output_env_var(tiny_run, tmp_path, monkeypatch):

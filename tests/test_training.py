@@ -5,19 +5,19 @@ import pytest
 
 from patchbias.errors import NonFiniteGradientError, ValidationError
 from patchbias.model import ClassifierSpec, init_params
+from patchbias import training
 from patchbias.training import (
     History,
     SplitData,
     TrainConfig,
     erm_step,
+    evaluate_outcome,
     extrapolated_gradient,
     gerne_step,
     run_experiment,
-    run_trial,
     select_checkpoint,
     sgd_update,
     train_history,
-    tune_beta,
 )
 
 SPEC = ClassifierSpec(input_height=8, input_width=8, channels=1, k1=2, k2=3, pool_target=8, seed=0)
@@ -159,9 +159,9 @@ def test_non_finite_gradients_abort_and_name_the_stream():
 @pytest.mark.parametrize(
     "kwargs, message",
     [
-        (dict(method="mixup"), "unknown method"),
-        (dict(eval_metric="auc"), "unknown eval_metric"),
-        (dict(tau=1.5), "tau"),
+        (dict(lr=float("nan")), "train.lr must be a positive finite number"),
+        (dict(beta_grid=(0.0, float("nan"))), "train.beta_grid"),
+        (dict(seed=-1), "train.seed"),
         (dict(batch_size=0), "batch_size"),
         (dict(epochs=0), "epochs"),
         (dict(lr=0.0), "lr"),
@@ -172,10 +172,8 @@ def test_non_finite_gradients_abort_and_name_the_stream():
     ],
 )
 def test_train_config_validation(kwargs, message):
-    base = dict(method="erm", eval_metric="bca", tau=0.1)
-    base.update(kwargs)
     with pytest.raises(ValidationError, match=message):
-        TrainConfig(**base).validate()
+        TrainConfig(**kwargs)
 
 
 def test_split_data_shape_checks():
@@ -213,7 +211,7 @@ def test_train_history_requires_beta_for_gerne_and_data():
 
 def _history_from(snapshots):
     return History(
-        spec=SPEC, method="erm", seed=0, beta=None,
+        spec=SPEC, seed=0,
         snapshots=[s.copy() for s in snapshots],
         train_losses=[0.0] * len(snapshots),
     )
@@ -258,42 +256,24 @@ def test_worst_group_selection_requires_all_groups_in_validation():
     select_checkpoint(history, val, "bca")
 
 
-def test_run_trial_learns_the_separable_toy_problem():
+def test_train_history_and_evaluate_outcome_learn_the_separable_toy_problem():
     train, val, test = _split(64, 12), _split(32, 13), _split(32, 14)
-    config = TrainConfig(method="erm", eval_metric="bca", tau=0.1,
-                         batch_size=16, epochs=4, lr=0.1, momentum=0.9, seed=1)
-    out = run_trial(SPEC, config, train, val, test)
+
+    def outcome():
+        history = train_history(SPEC, "erm", train, seed=1, epochs=4, batch_size=16, lr=0.1, momentum=0.9)
+        return evaluate_outcome(history, val, test, "bca")
+
+    out = outcome()
     assert out.test_eval.bca > 0.9
     assert len(out.log) == 4
     assert out.test_preds.shape == (32,)
-    repeat = run_trial(SPEC, config, train, val, test)
+    repeat = outcome()
     assert np.array_equal(repeat.test_preds, out.test_preds)
     assert repeat.test_eval.bca == out.test_eval.bca
 
 
-def test_run_trial_gerne_needs_an_explicit_beta():
-    train, val, test = _split(32, 15), _split(16, 16), _split(16, 17)
-    config = TrainConfig(method="gerne", eval_metric="wga", tau=0.1,
-                         batch_size=8, epochs=1, lr=0.1, momentum=0.9)
-    with pytest.raises(ValidationError, match="beta"):
-        run_trial(SPEC, config, train, val, test)
-    run_trial(SPEC, TrainConfig(method="gerne", eval_metric="wga", tau=0.1, batch_size=8,
-                                epochs=1, lr=0.1, momentum=0.9, beta=0.5), train, val, test)
-
-
-def test_tune_beta_scores_every_grid_entry():
-    train, val = _split(32, 18), _split(32, 19)
-    config = TrainConfig(method="gerne", eval_metric="wga", tau=0.1, batch_size=8,
-                         epochs=2, lr=0.1, momentum=0.9, seed=2, beta_grid=(-0.5, 0.0, 1.0))
-    best, scores = tune_beta(SPEC, config, train, val)
-    assert best in (-0.5, 0.0, 1.0)
-    assert sorted(scores) == [-0.5, 0.0, 1.0]
-    assert scores[best] == max(scores.values())
-
-
 def _experiment_config(**overrides):
-    base = dict(method="erm", eval_metric="bca", tau=0.1, batch_size=16,
-                epochs=2, lr=0.1, momentum=0.9, seed=3, trials=1, beta=0.5)
+    base = dict(batch_size=16, epochs=2, lr=0.1, momentum=0.9, seed=3, trials=1, beta=0.5)
     base.update(overrides)
     return TrainConfig(**base)
 
@@ -312,25 +292,23 @@ def test_run_experiment_builds_the_full_grid():
 
 def test_run_experiment_repeated_seed_gives_zero_spread():
     train, val, test = _split(48, 23), _split(32, 24), _split(32, 25)
-    config = _experiment_config(trials=2)
-    report = run_experiment(SPEC, {0.1: (train, val, test)}, config, trial_seeds=[7, 7])
-    for cell in report.cells:
-        assert cell.wga_std == 0.0
-        assert cell.bca_std == 0.0
-        assert cell.trials[0].test_wga == cell.trials[1].test_wga
+    config = _experiment_config(trials=2, seed=7)
+    first, again = (run_experiment(SPEC, {0.1: (train, val, test)}, config) for _ in range(2))
+    for a, b in zip(first.cells, again.cells):
+        assert [t.seed for t in a.trials] == [7, 8]
+        assert [t.to_dict() for t in a.trials] == [t.to_dict() for t in b.trials]
+        assert (a.wga_mean, a.wga_std, a.bca_mean, a.bca_std) == (b.wga_mean, b.wga_std, b.bca_mean, b.bca_std)
+
+
+def _two_thresholds():
+    """Two thresholds over the same arrays, as different group views: only z flips."""
+    train, val, test = _split(48, 26), _split(32, 27), _split(32, 28)
+    flip = [SplitData(x=s.x, y=s.y, groups=s.y * 2 + 1 - s.groups % 2) for s in (train, val, test)]
+    return {0.1: (train, val, test), 0.03: tuple(flip)}
 
 
 def test_run_experiment_shares_erm_trajectories_across_thresholds():
-    train, val, test = _split(48, 26), _split(32, 27), _split(32, 28)
-    # same arrays, different group views: only z flips between thresholds
-    regrouped = SplitData(x=train.x, y=train.y, groups=(train.y * 2 + 1 - train.groups % 2))
-    val2 = SplitData(x=val.x, y=val.y, groups=(val.y * 2 + 1 - val.groups % 2))
-    test2 = SplitData(x=test.x, y=test.y, groups=(test.y * 2 + 1 - test.groups % 2))
-    report = run_experiment(
-        SPEC,
-        {0.1: (train, val, test), 0.03: (regrouped, val2, test2)},
-        _experiment_config(trials=2),
-    )
+    report = run_experiment(SPEC, _two_thresholds(), _experiment_config(trials=2))
     a = report.cell("erm", "bca", 0.1)
     b = report.cell("erm", "bca", 0.03)
     # balanced-class selection ignores groups, so shared weights mean equal scores
@@ -338,23 +316,17 @@ def test_run_experiment_shares_erm_trajectories_across_thresholds():
     assert [t.best_epoch for t in a.trials] == [t.best_epoch for t in b.trials]
 
 
-def test_run_experiment_validates_rows_and_seed_count():
+def test_run_experiment_validates_the_data_grid():
     train, val, test = _split(32, 29), _split(16, 30), _split(16, 31)
-    with pytest.raises(ValidationError, match="row"):
-        run_experiment(SPEC, {0.1: (train, val, test)}, _experiment_config(), rows=())
-    with pytest.raises(ValidationError, match="bad row"):
-        run_experiment(SPEC, {0.1: (train, val, test)}, _experiment_config(),
-                       rows=(("erm", "auc"),))
-    with pytest.raises(ValidationError, match="trial seeds"):
-        run_experiment(SPEC, {0.1: (train, val, test)}, _experiment_config(trials=2),
-                       trial_seeds=[1])
     with pytest.raises(ValidationError, match="data"):
         run_experiment(SPEC, {}, _experiment_config())
+    # equal values are not enough: thresholds must share the very arrays
+    copied = SplitData(x=val.x.copy(), y=val.y, groups=val.groups)
+    with pytest.raises(ValidationError, match="share the first threshold's .* \\(tau=0.03\\)"):
+        run_experiment(SPEC, {0.1: (train, val, test), 0.03: (train, copied, test)}, _experiment_config())
 
 
 def test_run_experiment_checks_groups_at_every_threshold_before_training(monkeypatch):
-    import patchbias.training as training
-
     def no_training(*args, **kwargs):
         raise AssertionError("train_history ran before the group preflight")
 
@@ -369,8 +341,46 @@ def test_run_experiment_checks_groups_at_every_threshold_before_training(monkeyp
     with pytest.raises(ValidationError, match="every group in the validation split; missing \\[3\\]"):
         run_experiment(SPEC, {0.1: (train, val, test), 0.03: (train, val_no_group_3, test)},
                        _experiment_config())
-    # rows that never sample balanced batches or select by worst group need neither
-    monkeypatch.undo()
-    report = run_experiment(SPEC, {0.03: (no_group_1, val_no_group_3, test)}, _experiment_config(),
-                            rows=(("erm", "bca"),))
-    assert [c.row_label for c in report.cells] == ["ERM+BCA"]
+
+
+@pytest.mark.parametrize("beta, trajectories", [(None, 10), (0.5, 6)])
+def test_run_experiment_trains_each_trajectory_once(monkeypatch, beta, trajectories):
+    calls = []
+    real = training.train_history
+
+    def counted(*args, **kwargs):
+        calls.append((args[1], kwargs["seed"], kwargs.get("beta")))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(training, "train_history", counted)
+    config = _experiment_config(trials=2, beta=beta, beta_grid=(-0.5, 0.0, 1.0))
+    report = run_experiment(SPEC, _two_thresholds(), config)
+    # ERM once per seed for every threshold; per threshold, the grid at the first
+    # seed (its winner is trial 0) plus the other seed, or one run per seed
+    assert len(calls) == trajectories
+    assert sorted(seed for method, seed, _ in calls if method == "erm") == [3, 4]
+    for tau in (0.1, 0.03):
+        cell = report.cell("gerne", "wga", tau)
+        assert [t.seed for t in cell.trials] == [3, 4]
+        if beta is None:
+            assert list(cell.beta_scores) == [-0.5, 0.0, 1.0]
+            assert cell.beta_scores[cell.beta] == max(cell.beta_scores.values())
+        else:
+            assert cell.beta == 0.5 and cell.beta_scores == {}
+
+
+def test_beta_tuning_tie_keeps_the_earlier_grid_entry(monkeypatch):
+    real = training.select_checkpoint
+
+    def all_equal(history, val, eval_metric):
+        checkpoint, log = real(history, val, eval_metric)
+        checkpoint.val_wga = checkpoint.val_bca = 0.5
+        return checkpoint, log
+
+    monkeypatch.setattr(training, "select_checkpoint", all_equal)
+    config = _experiment_config(trials=1, beta=None, beta_grid=(1.0, -0.5, 0.0))
+    report = run_experiment(SPEC, _two_thresholds(), config)
+    for tau in (0.1, 0.03):
+        cell = report.cell("gerne", "wga", tau)
+        assert cell.beta == 1.0
+        assert cell.beta_scores == {1.0: 0.5, -0.5: 0.5, 0.0: 0.5}
