@@ -39,8 +39,8 @@ report = run_experiment(
 
 print("\nrow        test WGA  test BCA   per-group accuracy")
 for cell in report.cells:
-    t = cell.trials[0]
-    per_group = "  ".join(f"g{g}={a:.2f}" for g, a in sorted(t.test_per_group.items()))
+    per_group_acc = cell.outcomes[0].test_eval.per_group_acc()
+    per_group = "  ".join(f"g{g}={a:.2f}" for g, a in sorted(per_group_acc.items()))
     beta = f"  (beta={cell.beta})" if cell.method == "gerne" else ""
     print(f"{cell.row_label:<9}  {cell.wga_mean:8.4f}  {cell.bca_mean:8.4f}   {per_group}{beta}")
 

@@ -22,6 +22,7 @@ import hashlib
 import json
 import os
 import time
+from contextlib import ExitStack
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import bias_report, histogram, overlay_predictions, write_histogram_csv
-from .atomicio import open_atomic, write_atomic
+from .atomicio import atomic_path, open_atomic, write_atomic
 from .composition import assign_group, binarize_spurious, compute_ratios, infer_tissue
 from .errors import ValidationError, is_int, is_number
 from .model import ClassifierSpec, save_checkpoint
@@ -42,8 +43,9 @@ from .synthdata import (
     generate_corpus,
     load_scene,
     materialize,
+    split_counts,
 )
-from .training import ROWS, RunReport, SplitData, TrainConfig, run_experiment
+from .training import ROWS, RunReport, SplitData, TrainConfig, row_label, run_experiment
 
 ENV_OUT_ROOT = "PATCHBIAS_OUT"
 _HIST_FILES = (
@@ -183,6 +185,23 @@ def validate_config(config: dict) -> None:
             raise ValidationError(f"config field model.{key} must be a positive integer")
 
     TrainConfig(**check_section("train", {f.name for f in dataclasses.fields(TrainConfig)}))
+
+    # combinations of valid fields that would otherwise fail only after the data stages
+    for key in ("height", "width"):
+        if p[key] > d[key]:
+            raise ValidationError(
+                f"config field patch.{key} ({p[key]}) must not exceed dataset.{key} ({d[key]})"
+            )
+    for split, count in zip(SPLITS, split_counts(d["images"], tuple(sf))):
+        if count == 0:
+            raise ValidationError(
+                f"config field dataset.images: {d['images']} images at split_fractions {sf} "
+                f"leave split {split!r} empty"
+            )
+    try:
+        model_spec_from_config(config).validate()
+    except ValidationError as exc:
+        raise ValidationError(f"config fields patch.height/width and model.pool_target: {exc}") from None
 
 
 def load_config(path: str | Path) -> dict:
@@ -414,19 +433,23 @@ def cmd_analyze(config: dict, out_root: Path, predictions: str | Path | None = N
     analysis_dir = out_root / "analysis"
     analysis_dir.mkdir(parents=True, exist_ok=True)
     artifacts = {}
-    for kind, label, filename in _HIST_FILES:
-        hist = histogram(subset, kind, label, n_bins)
-        if pred_arr is not None:
-            hist = overlay_predictions(hist, pred_arr, label_arr)
-        write_histogram_csv(hist, analysis_dir / filename)
-        artifacts[f"hist_{kind}"] = f"analysis/{filename}"
+    # every file is written in full to a temporary before any replaces its
+    # previous version, so a failed write leaves no mix of two runs
+    with ExitStack() as staged:
+        for kind, label, filename in _HIST_FILES:
+            hist = histogram(subset, kind, label, n_bins)
+            if pred_arr is not None:
+                hist = overlay_predictions(hist, pred_arr, label_arr)
+            write_histogram_csv(hist, staged.enter_context(atomic_path(analysis_dir / filename)))
+            artifacts[f"hist_{kind}"] = f"analysis/{filename}"
 
-    for tau in config["patch"]["taus"]:
-        report = bias_report(subset, tau)
-        name = f"bias_tau{tau_key(tau)}.json"
-        write_atomic(analysis_dir / name, json.dumps(report, indent=2, sort_keys=True))
-        artifacts[f"bias_{tau_key(tau)}"] = f"analysis/{name}"
-        print(f"tau={tau_key(tau)}: alignment={report['alignment']}, groups={report['group_counts']}")
+        for tau in config["patch"]["taus"]:
+            report = bias_report(subset, tau)
+            name = f"bias_tau{tau_key(tau)}.json"
+            tmp = staged.enter_context(atomic_path(analysis_dir / name))
+            tmp.write_text(json.dumps(report, indent=2, sort_keys=True), encoding="utf-8")
+            artifacts[f"bias_{tau_key(tau)}"] = f"analysis/{name}"
+            print(f"tau={tau_key(tau)}: alignment={report['alignment']}, groups={report['group_counts']}")
 
     _update_run_manifest(out_root, config, "analyze", artifacts, time.monotonic() - started)
     return analysis_dir
@@ -553,9 +576,6 @@ def cmd_train(config: dict, out_root: Path) -> RunReport:
     return report
 
 
-_ROW_ORDER = tuple(f"{m.upper()}+{e.upper()}" for m, e in ROWS)
-
-
 def cmd_report(config: dict, out_root: Path) -> Path:
     """Assemble the final results table from the train stage output."""
     validate_config(config)
@@ -574,12 +594,13 @@ def cmd_report(config: dict, out_root: Path) -> Path:
     for t in taus:
         header += [f"wga_tau={tau_key(t)}", f"bca_tau={tau_key(t)}"]
     lines = [",".join(header)]
-    for row_label in _ROW_ORDER:
-        cells = [row_label]
+    for method, metric in ROWS:
+        label = row_label(method, metric)
+        cells = [label]
         for t in taus:
-            cell = by_key.get((row_label, tau_key(t)))
+            cell = by_key.get((label, tau_key(t)))
             if cell is None:
-                raise ValidationError(f"results are missing cell {row_label} at tau={tau_key(t)}")
+                raise ValidationError(f"results are missing cell {label} at tau={tau_key(t)}")
             cells.append(f"{cell['wga_mean']:.4f}±{cell['wga_std']:.4f}")
             cells.append(f"{cell['bca_mean']:.4f}±{cell['bca_std']:.4f}")
         lines.append(",".join(cells))

@@ -2,7 +2,8 @@
 
 Fixed family: average-pool the patch down to a manageable size, then
 conv 3x3/stride 2 -> ReLU -> conv 3x3/stride 2 -> global average pool ->
-affine head with two logits. Parameters live in a flat float64 vector so
+affine head with two logits. The parameters are one flat float64 array,
+laid out by `param_layout(spec)` and read through `param_views`, so
 optimizer updates and gradient checks stay simple and exact.
 
 The pooling layer has no parameters, so training pools each split once with
@@ -73,27 +74,8 @@ class ClassifierSpec:
             )
 
 
-@dataclass
-class ParamVector:
-    values: np.ndarray  # flat float64
-    layout: tuple[tuple[str, tuple[int, ...], int], ...]  # (name, shape, offset)
-
-    def view(self, name: str) -> np.ndarray:
-        for nm, shape, offset in self.layout:
-            if nm == name:
-                size = int(np.prod(shape))
-                return self.values[offset : offset + size].reshape(shape)
-        raise KeyError(name)
-
-    @property
-    def size(self) -> int:
-        return self.values.size
-
-    def copy(self) -> "ParamVector":
-        return ParamVector(values=self.values.copy(), layout=self.layout)
-
-
 def param_layout(spec: ClassifierSpec) -> tuple[tuple[str, tuple[int, ...], int], ...]:
+    """(name, shape, offset) of each tensor in the flat parameter vector."""
     shapes = [
         ("conv1_w", (_KERNEL, _KERNEL, spec.channels, spec.k1)),
         ("conv1_b", (spec.k1,)),
@@ -106,41 +88,34 @@ def param_layout(spec: ClassifierSpec) -> tuple[tuple[str, tuple[int, ...], int]
     offset = 0
     for name, shape in shapes:
         layout.append((name, shape, offset))
-        offset += int(np.prod(shape))
+        offset += math.prod(shape)
     return tuple(layout)
 
 
-def init_params(spec: ClassifierSpec) -> ParamVector:
+def _param_count(layout: tuple[tuple[str, tuple[int, ...], int], ...]) -> int:
+    return sum(math.prod(shape) for _, shape, _ in layout)
+
+
+def param_views(spec: ClassifierSpec, values: np.ndarray) -> dict[str, np.ndarray]:
+    """Each tensor of `param_layout(spec)` as a view into the flat vector; writes go through."""
+    layout = param_layout(spec)
+    size = _param_count(layout)
+    if values.shape != (size,):
+        raise ValidationError(f"parameter vector has shape {values.shape}, the spec needs ({size},)")
+    return {name: values[offset : offset + math.prod(shape)].reshape(shape) for name, shape, offset in layout}
+
+
+def init_params(spec: ClassifierSpec) -> np.ndarray:
     """Fan-in-scaled uniform weights, zero biases, from the spec seed."""
     spec.validate()
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(spec.seed)))
-    layout = param_layout(spec)
-    values = np.zeros(sum(int(np.prod(s)) for _, s, _ in layout), dtype=np.float64)
-    pv = ParamVector(values=values, layout=layout)
-    for name, shape, _ in layout:
+    values = np.zeros(_param_count(param_layout(spec)), dtype=np.float64)
+    for name, view in param_views(spec, values).items():
         if name.endswith("_b"):
             continue
-        fan_in = int(np.prod(shape[:-1]))
-        bound = 1.0 / math.sqrt(fan_in)
-        pv.view(name)[...] = rng.uniform(-bound, bound, size=shape)
-    return pv
-
-
-def unflatten(params: ParamVector) -> dict[str, np.ndarray]:
-    return {name: params.view(name).copy() for name, _, _ in params.layout}
-
-
-def flatten(spec: ClassifierSpec, tensors: dict[str, np.ndarray]) -> ParamVector:
-    layout = param_layout(spec)
-    values = np.zeros(sum(int(np.prod(s)) for _, s, _ in layout), dtype=np.float64)
-    pv = ParamVector(values=values, layout=layout)
-    for name, shape, _ in layout:
-        if name not in tensors:
-            raise ValidationError(f"missing tensor {name!r}")
-        if tuple(tensors[name].shape) != shape:
-            raise ValidationError(f"tensor {name!r} has shape {tensors[name].shape}, expected {shape}")
-        pv.view(name)[...] = tensors[name]
-    return pv
+        bound = 1.0 / math.sqrt(math.prod(view.shape[:-1]))
+        view[...] = rng.uniform(-bound, bound, size=view.shape)
+    return values
 
 
 # patches per pass of the strided sum; bounds its float64 temporaries
@@ -229,29 +204,26 @@ def _check_batch(spec: ClassifierSpec, batch: np.ndarray) -> str:
     )
 
 
-def _forward_cached(spec: ClassifierSpec, params: ParamVector, batch: np.ndarray) -> dict:
+def _forward_cached(spec: ClassifierSpec, params: np.ndarray, batch: np.ndarray) -> dict:
     x = pool(spec, batch)
-    w1, b1 = params.view("conv1_w"), params.view("conv1_b")
-    w2, b2 = params.view("conv2_w"), params.view("conv2_b")
-    w3, b3 = params.view("fc_w"), params.view("fc_b")
-
+    p = param_views(spec, params)
     cols1 = _im2col(x)
-    z1 = cols1 @ w1.reshape(-1, spec.k1)
-    z1 += b1
+    z1 = cols1 @ p["conv1_w"].reshape(-1, spec.k1)
+    z1 += p["conv1_b"]
     a1_shape = (x.shape[0], _conv_side(x.shape[1]), _conv_side(x.shape[2]), spec.k1)
     cols2 = _im2col(np.maximum(z1, 0.0).reshape(a1_shape))
-    z2 = cols2 @ w2.reshape(-1, spec.k2)
-    z2 += b2
+    z2 = cols2 @ p["conv2_w"].reshape(-1, spec.k2)
+    z2 += p["conv2_b"]
     spatial = _conv_side(a1_shape[1]) * _conv_side(a1_shape[2])
     gap = z2.reshape(x.shape[0], spatial, spec.k2).mean(axis=1)
-    logits = gap @ w3 + b3
+    logits = gap @ p["fc_w"] + p["fc_b"]
     return {
         "cols1": cols1, "z1": z1, "a1_shape": a1_shape,
         "cols2": cols2, "spatial": spatial, "gap": gap, "logits": logits,
     }
 
 
-def forward(spec: ClassifierSpec, params: ParamVector, batch: np.ndarray) -> np.ndarray:
+def forward(spec: ClassifierSpec, params: np.ndarray, batch: np.ndarray) -> np.ndarray:
     """Logits (B, 2) for a batch of raw or pooled patches."""
     return _forward_cached(spec, params, batch)["logits"]
 
@@ -270,7 +242,7 @@ def _softmax_ce(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarr
 
 
 def loss_and_grad(
-    spec: ClassifierSpec, params: ParamVector, batch: np.ndarray, labels: np.ndarray
+    spec: ClassifierSpec, params: np.ndarray, batch: np.ndarray, labels: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Mean softmax cross-entropy and its exact gradient as a flat vector."""
     labels = np.asarray(labels)
@@ -282,38 +254,40 @@ def loss_and_grad(
     cache = _forward_cached(spec, params, batch)
     loss, dlogits = _softmax_ce(cache["logits"], labels)
 
-    grad = ParamVector(values=np.zeros_like(params.values), layout=params.layout)
+    p = param_views(spec, params)
+    grad = np.zeros_like(params)
+    g = param_views(spec, grad)
     gap = cache["gap"]
-    grad.view("fc_w")[...] = gap.T @ dlogits
-    grad.view("fc_b")[...] = dlogits.sum(axis=0)
-    dgap = dlogits @ params.view("fc_w").T
+    g["fc_w"][...] = gap.T @ dlogits
+    g["fc_b"][...] = dlogits.sum(axis=0)
+    dgap = dlogits @ p["fc_w"].T
 
     # every output pixel of conv2 gets the same share of its sample's dgap
     spatial = cache["spatial"]
     dz2 = np.repeat(dgap / spatial, spatial, axis=0)
-    grad.view("conv2_w")[...] = (cache["cols2"].T @ dz2).reshape(_KERNEL, _KERNEL, spec.k1, spec.k2)
-    grad.view("conv2_b")[...] = dz2.sum(axis=0)
-    dcols2 = dz2 @ params.view("conv2_w").reshape(-1, spec.k2).T
+    g["conv2_w"][...] = (cache["cols2"].T @ dz2).reshape(_KERNEL, _KERNEL, spec.k1, spec.k2)
+    g["conv2_b"][...] = dz2.sum(axis=0)
+    dcols2 = dz2 @ p["conv2_w"].reshape(-1, spec.k2).T
     da1 = _col2im(dcols2, cache["a1_shape"]).reshape(-1, spec.k1)
     dz1 = da1 * (cache["z1"] > 0)  # subgradient 0 at the ReLU kink
-    grad.view("conv1_w")[...] = (cache["cols1"].T @ dz1).reshape(_KERNEL, _KERNEL, spec.channels, spec.k1)
-    grad.view("conv1_b")[...] = dz1.sum(axis=0)
-    return loss, grad.values
+    g["conv1_w"][...] = (cache["cols1"].T @ dz1).reshape(_KERNEL, _KERNEL, spec.channels, spec.k1)
+    g["conv1_b"][...] = dz1.sum(axis=0)
+    return loss, grad
 
 
-def predict(spec: ClassifierSpec, params: ParamVector, batch: np.ndarray) -> np.ndarray:
+def predict(spec: ClassifierSpec, params: np.ndarray, batch: np.ndarray) -> np.ndarray:
     """Argmax labels; an exact tie goes to label 0."""
     logits = forward(spec, params, batch)
     return (logits[:, 1] > logits[:, 0]).astype(np.int64)
 
 
-def relu_margin(spec: ClassifierSpec, params: ParamVector, batch: np.ndarray) -> float:
+def relu_margin(spec: ClassifierSpec, params: np.ndarray, batch: np.ndarray) -> float:
     """Smallest |pre-activation| at the ReLU; finite-difference checks need it > 0."""
     z1 = _forward_cached(spec, params, batch)["z1"]
     return float(np.abs(z1).min())
 
 
-def save_checkpoint(path: str | Path, spec: ClassifierSpec, params: ParamVector) -> None:
+def save_checkpoint(path: str | Path, spec: ClassifierSpec, params: np.ndarray) -> None:
     """Tensor container holds the flat parameters (as float32); JSON sidecar holds the spec.
 
     Both files are written in full to temporaries before either replaces its
@@ -322,15 +296,15 @@ def save_checkpoint(path: str | Path, spec: ClassifierSpec, params: ParamVector)
     path = Path(path)
     sidecar = {
         "classifier_spec": asdict(spec),
-        "layout": [[name, list(shape), offset] for name, shape, offset in params.layout],
+        "layout": [[name, list(shape), offset] for name, shape, offset in param_layout(spec)],
         "stored_dtype": "float32",
     }
     with atomic_path(path) as tensor_tmp, atomic_path(path.with_suffix(".json")) as sidecar_tmp:
-        write_tensor(tensor_tmp, params.values.astype(np.float32))
+        write_tensor(tensor_tmp, params.astype(np.float32))
         sidecar_tmp.write_text(json.dumps(sidecar, indent=2, sort_keys=True))
 
 
-def load_checkpoint(path: str | Path) -> tuple[ClassifierSpec, ParamVector]:
+def load_checkpoint(path: str | Path) -> tuple[ClassifierSpec, np.ndarray]:
     path = Path(path)
     sidecar = json.loads(path.with_suffix(".json").read_text())
     spec = ClassifierSpec(**sidecar["classifier_spec"])
@@ -338,6 +312,6 @@ def load_checkpoint(path: str | Path) -> tuple[ClassifierSpec, ParamVector]:
     layout = tuple((name, tuple(shape), offset) for name, shape, offset in sidecar["layout"])
     if layout != param_layout(spec):
         raise ValidationError(f"{path}: stored layout does not match the classifier spec")
-    if values.shape != (sum(int(np.prod(s)) for _, s, _ in layout),):
+    if values.shape != (_param_count(layout),):
         raise ValidationError(f"{path}: stored parameter count does not match the layout")
-    return spec, ParamVector(values=values, layout=layout)
+    return spec, values

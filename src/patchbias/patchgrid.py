@@ -14,8 +14,6 @@ import numpy as np
 from .errors import ValidationError
 from .synthdata import MultimodalImage, SegmentationMask, TissueClass
 
-EDGE_DROP_PARTIAL = "drop_partial"
-
 # a plain int compares faster than the enum member
 _TUMOR = int(TissueClass.TUMOR)
 
@@ -24,15 +22,12 @@ _TUMOR = int(TissueClass.TUMOR)
 class PatchGridSpec:
     patch_height: int
     patch_width: int
-    edge_policy: str = EDGE_DROP_PARTIAL
 
     def validate(self) -> None:
         if self.patch_height < 1 or self.patch_width < 1:
             raise ValidationError(
                 f"patch dims must be >= 1, got {self.patch_height}x{self.patch_width}"
             )
-        if self.edge_policy != EDGE_DROP_PARTIAL:
-            raise ValidationError(f"unsupported edge policy {self.edge_policy!r}")
 
 
 @dataclass

@@ -29,13 +29,13 @@ its training split, selection pools validation, evaluation pools test, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import NonFiniteGradientError, ValidationError, is_int, is_number
 from .metrics import N_GROUPS, EvalResult, evaluate
-from .model import ClassifierSpec, ParamVector, init_params, loss_and_grad, param_layout, pool, predict
+from .model import ClassifierSpec, init_params, loss_and_grad, pool, predict
 from .sampler import GroupedDataset, draw_biased, draw_erm, draw_less_biased, erm_steps_per_epoch
 
 METHOD_ERM = "erm"
@@ -45,6 +45,11 @@ EVAL_METRICS = ("wga", "bca")
 DEFAULT_BETA_GRID = (-0.5, 0.0, 0.5, 1.0, 2.0)
 # (method, selection metric) per result row, in the order of results.json and the final table
 ROWS = ((METHOD_ERM, "bca"), (METHOD_ERM, "wga"), (METHOD_GERNE, "wga"))
+
+
+def row_label(method: str, eval_metric: str) -> str:
+    """A result row's name in results.json and the final table, e.g. "GERNE+WGA"."""
+    return f"{method.upper()}+{eval_metric.upper()}"
 
 
 @dataclass(frozen=True)
@@ -130,23 +135,23 @@ def _ensure_finite(loss: float, grad: np.ndarray, stream: str) -> None:
 
 def erm_step(
     spec: ClassifierSpec,
-    params: ParamVector,
+    params: np.ndarray,
     velocity: np.ndarray,
     batch: np.ndarray,
     labels: np.ndarray,
     *,
     lr: float,
     momentum: float,
-) -> tuple[ParamVector, np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray, float]:
     loss, grad = loss_and_grad(spec, params, batch, labels)
     _ensure_finite(loss, grad, "training")
-    values, velocity = sgd_update(params.values, velocity, grad, lr, momentum)
-    return ParamVector(values, params.layout), velocity, loss
+    params, velocity = sgd_update(params, velocity, grad, lr, momentum)
+    return params, velocity, loss
 
 
 def gerne_step(
     spec: ClassifierSpec,
-    params: ParamVector,
+    params: np.ndarray,
     velocity: np.ndarray,
     batch_b: np.ndarray,
     labels_b: np.ndarray,
@@ -156,7 +161,7 @@ def gerne_step(
     beta: float,
     lr: float,
     momentum: float,
-) -> tuple[ParamVector, np.ndarray, float, float]:
+) -> tuple[np.ndarray, np.ndarray, float, float]:
     if batch_b.shape[0] == 0 or batch_lb.shape[0] == 0:
         raise ValidationError("both batches must be non-empty")
     loss_b, g_b = loss_and_grad(spec, params, batch_b, labels_b)
@@ -164,16 +169,15 @@ def gerne_step(
     loss_lb, g_lb = loss_and_grad(spec, params, batch_lb, labels_lb)
     _ensure_finite(loss_lb, g_lb, "less-biased")
     g_ext = extrapolated_gradient(g_lb, g_b, beta)
-    values, velocity = sgd_update(params.values, velocity, g_ext, lr, momentum)
-    return ParamVector(values, params.layout), velocity, loss_b, loss_lb
+    params, velocity = sgd_update(params, velocity, g_ext, lr, momentum)
+    return params, velocity, loss_b, loss_lb
 
 
 @dataclass
 class History:
-    """Per-epoch parameter snapshots from one training run."""
+    """Per-epoch parameter snapshots from one training run; `spec.seed` is its seed."""
 
     spec: ClassifierSpec
-    seed: int
     snapshots: list[np.ndarray]
     train_losses: list[float]
 
@@ -202,7 +206,7 @@ def train_history(
     spec.validate()
     x = pool(spec, train.x)
     params = init_params(spec)
-    velocity = np.zeros_like(params.values)
+    velocity = np.zeros_like(params)
     ds = GroupedDataset.from_group_ids(train.groups, seed)
     steps = erm_steps_per_epoch(train.size, batch_size)
 
@@ -227,9 +231,10 @@ def train_history(
                     beta=beta, lr=lr, momentum=momentum,
                 )
                 epoch_losses.append(0.5 * (loss_b + loss_lb))
-        snapshots.append(params.values.copy())
+        # every step returns a new array, so the snapshot needs no copy
+        snapshots.append(params)
         losses.append(float(np.mean(epoch_losses)))
-    return History(spec=spec, seed=seed, snapshots=snapshots, train_losses=losses)
+    return History(spec=spec, snapshots=snapshots, train_losses=losses)
 
 
 @dataclass
@@ -242,7 +247,7 @@ class EpochRecord:
 
 @dataclass
 class Checkpoint:
-    params: ParamVector
+    params: np.ndarray
     epoch: int
     val_wga: float
     val_bca: float
@@ -256,9 +261,21 @@ class TrialOutcome:
     test_eval: EvalResult
     test_preds: np.ndarray
 
+    def to_dict(self) -> dict:
+        cp, ev = self.checkpoint, self.test_eval
+        return {
+            "seed": self.seed,
+            "best_epoch": cp.epoch,
+            "val_wga": round(cp.val_wga, 4),
+            "val_bca": round(cp.val_bca, 4),
+            "test_wga": round(ev.wga, 4),
+            "test_bca": round(ev.bca, 4),
+            "test_per_group": {str(g): round(a, 4) for g, a in ev.per_group_acc().items()},
+            "empty_test_groups": list(ev.empty_groups),
+        }
 
-def _predict_split(spec: ClassifierSpec, values: np.ndarray, split: SplitData) -> np.ndarray:
-    params = ParamVector(values, param_layout(spec))
+
+def _predict_split(spec: ClassifierSpec, params: np.ndarray, split: SplitData) -> np.ndarray:
     # chunked so large splits stay within memory
     out = np.empty(split.size, dtype=np.int64)
     chunk = 512
@@ -270,7 +287,10 @@ def _predict_split(spec: ClassifierSpec, values: np.ndarray, split: SplitData) -
 def select_checkpoint(
     history: History, val: SplitData, eval_metric: str
 ) -> tuple[Checkpoint, list[EpochRecord]]:
-    """Validation sweep over the epoch snapshots; strict improvement wins, ties keep the earlier epoch."""
+    """Validation sweep over the epoch snapshots; strict improvement wins, ties keep the earlier epoch.
+
+    The checkpoint holds the chosen snapshot itself, not a copy.
+    """
     if eval_metric not in EVAL_METRICS:
         raise ValidationError(f"unknown eval_metric {eval_metric!r}")
     if eval_metric == "wga":
@@ -283,18 +303,15 @@ def select_checkpoint(
     log: list[EpochRecord] = []
     best: Checkpoint | None = None
     best_score = -np.inf
-    for i, values in enumerate(history.snapshots):
-        preds = _predict_split(history.spec, values, val)
+    for i, params in enumerate(history.snapshots):
+        preds = _predict_split(history.spec, params, val)
         ev = evaluate(preds, val.y, val.groups)
         epoch = i + 1
         log.append(EpochRecord(epoch=epoch, train_loss=history.train_losses[i], val_wga=ev.wga, val_bca=ev.bca))
         score = ev.wga if eval_metric == "wga" else ev.bca
         if score > best_score:
             best_score = score
-            best = Checkpoint(
-                params=ParamVector(values.copy(), param_layout(history.spec)),
-                epoch=epoch, val_wga=ev.wga, val_bca=ev.bca,
-            )
+            best = Checkpoint(params=params, epoch=epoch, val_wga=ev.wga, val_bca=ev.bca)
     assert best is not None
     return best, log
 
@@ -303,57 +320,47 @@ def evaluate_outcome(
     history: History, val: SplitData, test: SplitData, eval_metric: str
 ) -> TrialOutcome:
     checkpoint, log = select_checkpoint(history, val, eval_metric)
-    preds = _predict_split(history.spec, checkpoint.params.values, test.pooled(history.spec))
+    preds = _predict_split(history.spec, checkpoint.params, test.pooled(history.spec))
     test_eval = evaluate(preds, test.y, test.groups)
     return TrialOutcome(
-        seed=history.seed, checkpoint=checkpoint,
+        seed=history.spec.seed, checkpoint=checkpoint,
         log=log, test_eval=test_eval, test_preds=preds,
     )
 
 
 @dataclass
-class TrialReport:
-    seed: int
-    best_epoch: int
-    val_wga: float
-    val_bca: float
-    test_wga: float
-    test_bca: float
-    test_per_group: dict[int, float | None]
-    empty_test_groups: tuple[int, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "best_epoch": self.best_epoch,
-            "val_wga": round(self.val_wga, 4),
-            "val_bca": round(self.val_bca, 4),
-            "test_wga": round(self.test_wga, 4),
-            "test_bca": round(self.test_bca, 4),
-            "test_per_group": {
-                str(g): (None if a is None else round(a, 4)) for g, a in self.test_per_group.items()
-            },
-            "empty_test_groups": list(self.empty_test_groups),
-        }
-
-
-@dataclass
 class CellReport:
+    """One (method, selection metric) row at one threshold: its trials and their test statistics."""
+
     method: str
     eval_metric: str
     tau: float
     beta: float | None
     beta_scores: dict[float, float]
-    trials: list[TrialReport]
-    wga_mean: float
-    wga_std: float
-    bca_mean: float
-    bca_std: float
-    outcomes: list[TrialOutcome] = field(repr=False, default_factory=list)
+    outcomes: list[TrialOutcome]
 
     @property
     def row_label(self) -> str:
-        return f"{self.method.upper()}+{self.eval_metric.upper()}"
+        return row_label(self.method, self.eval_metric)
+
+    def _test_scores(self, metric: str) -> list[float]:
+        return [getattr(o.test_eval, metric) for o in self.outcomes]
+
+    @property
+    def wga_mean(self) -> float:
+        return float(np.mean(self._test_scores("wga")))
+
+    @property
+    def wga_std(self) -> float:
+        return _sample_std(self._test_scores("wga"))
+
+    @property
+    def bca_mean(self) -> float:
+        return float(np.mean(self._test_scores("bca")))
+
+    @property
+    def bca_std(self) -> float:
+        return _sample_std(self._test_scores("bca"))
 
     def to_dict(self) -> dict:
         return {
@@ -367,7 +374,7 @@ class CellReport:
             "wga_std": round(self.wga_std, 4),
             "bca_mean": round(self.bca_mean, 4),
             "bca_std": round(self.bca_std, 4),
-            "trials": [t.to_dict() for t in self.trials],
+            "trials": [o.to_dict() for o in self.outcomes],
         }
 
 
@@ -375,17 +382,6 @@ def _sample_std(xs: list[float]) -> float:
     if len(xs) < 2:
         return 0.0
     return float(np.std(np.asarray(xs, dtype=np.float64), ddof=1))
-
-
-def _trial_report(outcome: TrialOutcome) -> TrialReport:
-    cp, ev = outcome.checkpoint, outcome.test_eval
-    return TrialReport(
-        seed=outcome.seed, best_epoch=cp.epoch,
-        val_wga=cp.val_wga, val_bca=cp.val_bca,
-        test_wga=ev.wga, test_bca=ev.bca,
-        test_per_group=ev.per_group_acc(),
-        empty_test_groups=ev.empty_groups,
-    )
 
 
 @dataclass
@@ -463,14 +459,8 @@ def run_experiment(
                     train_history(model_spec, METHOD_GERNE, train, seed=seed, beta=beta, **sgd)
                     for seed in seeds[len(histories):]
                 ]
-            outcomes = [evaluate_outcome(h, val, test, metric) for h in histories]
-            wgas = [o.test_eval.wga for o in outcomes]
-            bcas = [o.test_eval.bca for o in outcomes]
             cells.append(CellReport(
                 method=method, eval_metric=metric, tau=tau, beta=beta, beta_scores=beta_scores,
-                trials=[_trial_report(o) for o in outcomes],
-                wga_mean=float(np.mean(wgas)), wga_std=_sample_std(wgas),
-                bca_mean=float(np.mean(bcas)), bca_std=_sample_std(bcas),
-                outcomes=outcomes,
+                outcomes=[evaluate_outcome(h, val, test, metric) for h in histories],
             ))
     return RunReport(cells=cells)

@@ -49,7 +49,7 @@ def test_criterion_1_gradient_oracle():
         params = init_params(
             ClassifierSpec(16, 16, 1, k1=3, k2=4, pool_target=16, seed=int(rng.integers(1 << 30)))
         )
-        params.values += rng.normal(0.0, 0.02, params.size)
+        params += rng.normal(0.0, 0.02, params.size)
         batch = rng.random((4, 16, 16, 1)).astype(np.float32)
         labels = rng.integers(0, 2, 4)
         if relu_margin(spec, params, batch) < 10 * h:
@@ -58,12 +58,12 @@ def test_criterion_1_gradient_oracle():
         fd = np.empty_like(grad)
         work = params.copy()
         for i in range(params.size):
-            orig = work.values[i]
-            work.values[i] = orig + h
+            orig = work[i]
+            work[i] = orig + h
             lp, _ = loss_and_grad(spec, work, batch, labels)
-            work.values[i] = orig - h
+            work[i] = orig - h
             lm, _ = loss_and_grad(spec, work, batch, labels)
-            work.values[i] = orig
+            work[i] = orig
             fd[i] = (lp - lm) / (2.0 * h)
         denom = np.maximum.reduce([np.abs(grad), np.abs(fd), np.full_like(fd, 1e-6)])
         worst = max(worst, float((np.abs(grad - fd) / denom).max()))
@@ -165,7 +165,7 @@ def _single_stream_trajectory(split, draw, *, seed, epochs, batch_size, lr, mome
 
     spec = replace(_BETA_SPEC, seed=seed)
     params = init_params(spec)
-    velocity = np.zeros_like(params.values)
+    velocity = np.zeros_like(params)
     ds = GroupedDataset.from_group_ids(split.groups, seed)
     steps = erm_steps_per_epoch(split.size, batch_size)
     trajectory = []
@@ -173,9 +173,8 @@ def _single_stream_trajectory(split, draw, *, seed, epochs, batch_size, lr, mome
         for step in range(steps):
             idx = draw(ds, batch_size, epoch, step)
             _, grad = loss_and_grad(spec, params, split.x[idx], split.y[idx])
-            values, velocity = sgd_update(params.values, velocity, grad, lr, momentum)
-            params = type(params)(values, params.layout)
-            trajectory.append(params.values.copy())
+            params, velocity = sgd_update(params, velocity, grad, lr, momentum)
+            trajectory.append(params)
     return trajectory
 
 
@@ -184,7 +183,7 @@ def _gerne_trajectory(split, beta, *, seed, epochs, batch_size, lr, momentum):
 
     spec = replace(_BETA_SPEC, seed=seed)
     params = init_params(spec)
-    velocity = np.zeros_like(params.values)
+    velocity = np.zeros_like(params)
     ds = GroupedDataset.from_group_ids(split.groups, seed)
     steps = erm_steps_per_epoch(split.size, batch_size)
     trajectory = []
@@ -197,7 +196,7 @@ def _gerne_trajectory(split, beta, *, seed, epochs, batch_size, lr, momentum):
                 split.x[idx_b], split.y[idx_b], split.x[idx_lb], split.y[idx_lb],
                 beta=beta, lr=lr, momentum=momentum,
             )
-            trajectory.append(params.values.copy())
+            trajectory.append(params)
     return trajectory
 
 
@@ -291,10 +290,10 @@ def test_criterion_4_directional_reproduction(default_run):
 
 def test_criterion_5_model_selection_effect(default_run):
     _, _, report, _ = default_run
-    by_wga = report.cell("erm", "wga", 0.1).trials
-    by_bca = report.cell("erm", "bca", 0.1).trials
+    by_wga = report.cell("erm", "wga", 0.1).outcomes
+    by_bca = report.cell("erm", "bca", 0.1).outcomes
     assert [t.seed for t in by_wga] == [t.seed for t in by_bca]
-    wins = sum(a.test_wga > b.test_wga for a, b in zip(by_wga, by_bca))
+    wins = sum(a.test_eval.wga > b.test_eval.wga for a, b in zip(by_wga, by_bca))
     _check(
         wins >= 2,
         "criterion 5 (selection metric effect)",

@@ -25,10 +25,10 @@ def tiny_config():
 
 
 def mini_config():
-    """Just enough images to exercise generate/patchify mechanics."""
+    """Just enough images to exercise generate/patchify mechanics: one per split."""
     cfg = harness.default_config()
     cfg["dataset"].update(images=3, height=64, width=64, seed=42)
-    cfg["dataset"]["split_fractions"] = [1.0, 0.0, 0.0]
+    cfg["dataset"]["split_fractions"] = [0.4, 0.3, 0.3]
     cfg["patch"].update(height=32, width=32)
     return cfg
 
@@ -78,6 +78,10 @@ def test_default_config_is_valid():
         (lambda c: c["dataset"].update(rim_thickness=float("inf")), "dataset.rim_thickness"),
         (lambda c: c["dataset"].update(background_intensity_max=float("nan")), "dataset.background_intensity_max"),
         (lambda c: c["dataset"].update(tumor_coverage_range=[float("nan"), 0.3]), "dataset.tumor_coverage_range"),
+        # valid fields whose combination used to fail only after the data stages
+        (lambda c: c["model"].update(pool_target=3), "model.pool_target: pooled input 2x2 too small"),
+        (lambda c: (c["dataset"].update(height=48), c["patch"].update(height=64)), "patch.height .* dataset.height"),
+        (lambda c: c["dataset"].update(images=2), "dataset.images: 2 images .* leave split 'val' empty"),
     ],
 )
 def test_config_validation_names_the_field(mutate, message, tmp_path):
@@ -257,9 +261,13 @@ def test_failed_analysis_write_keeps_the_previous_files(tiny_run, monkeypatch):
             raise OSError("disk full")
         real_replace(src, dst)
 
+    # other bins change every histogram, so a histogram replaced before the
+    # failing bias report would show up as a mix of two runs
+    rerun = json.loads(json.dumps(cfg))
+    rerun["analysis"]["n_bins"] = cfg["analysis"]["n_bins"] + 1
     monkeypatch.setattr(harness.os, "replace", refuse_bias_reports)
     with pytest.raises(OSError, match="disk full"):
-        harness.cmd_analyze(cfg, out)
+        harness.cmd_analyze(rerun, out)
     assert {p.name: p.read_bytes() for p in analysis.iterdir()} == before
 
 

@@ -14,13 +14,13 @@ from hypothesis import strategies as st
 
 from patchbias.model import (
     ClassifierSpec,
-    ParamVector,
     _col2im,
     _im2col,
     _softmax_ce,
     forward,
     init_params,
     loss_and_grad,
+    param_views,
     pool,
     predict,
     relu_margin,
@@ -53,9 +53,10 @@ def _oracle_col2im(dcols, x_shape):
 
 def _oracle_forward_cached(spec, params, batch):
     x = pool(spec, batch)
-    w1, b1 = params.view("conv1_w"), params.view("conv1_b")
-    w2, b2 = params.view("conv2_w"), params.view("conv2_b")
-    w3, b3 = params.view("fc_w"), params.view("fc_b")
+    p = param_views(spec, params)
+    w1, b1 = p["conv1_w"], p["conv1_b"]
+    w2, b2 = p["conv2_w"], p["conv2_b"]
+    w3, b3 = p["fc_w"], p["fc_b"]
     cols1 = _oracle_im2col(x)
     z1 = np.tensordot(cols1, w1, axes=([3, 4, 5], [0, 1, 2])) + b1
     a1 = np.maximum(z1, 0.0)
@@ -69,24 +70,26 @@ def _oracle_forward_cached(spec, params, batch):
 def _oracle_loss_and_grad(spec, params, batch, labels):
     cache = _oracle_forward_cached(spec, params, batch)
     loss, dlogits = _softmax_ce(cache["logits"], np.asarray(labels))
-    grad = ParamVector(values=np.zeros_like(params.values), layout=params.layout)
+    p = param_views(spec, params)
+    grad = np.zeros_like(params)
+    g = param_views(spec, grad)
     gap = cache["gap"]
-    grad.view("fc_w")[...] = gap.T @ dlogits
-    grad.view("fc_b")[...] = dlogits.sum(axis=0)
-    dgap = dlogits @ params.view("fc_w").T
+    g["fc_w"][...] = gap.T @ dlogits
+    g["fc_b"][...] = dlogits.sum(axis=0)
+    dgap = dlogits @ p["fc_w"].T
     spatial = cache["cols2"].shape[1] * cache["cols2"].shape[2]
     dz2 = np.broadcast_to(
         dgap[:, None, None, :] / spatial,
         (gap.shape[0], cache["cols2"].shape[1], cache["cols2"].shape[2], gap.shape[1]),
     )
-    grad.view("conv2_w")[...] = np.tensordot(cache["cols2"], dz2, axes=([0, 1, 2], [0, 1, 2]))
-    grad.view("conv2_b")[...] = dz2.sum(axis=(0, 1, 2))
-    dcols2 = np.tensordot(dz2, params.view("conv2_w"), axes=([3], [3]))
+    g["conv2_w"][...] = np.tensordot(cache["cols2"], dz2, axes=([0, 1, 2], [0, 1, 2]))
+    g["conv2_b"][...] = dz2.sum(axis=(0, 1, 2))
+    dcols2 = np.tensordot(dz2, p["conv2_w"], axes=([3], [3]))
     da1 = _oracle_col2im(dcols2, cache["a1_shape"])
     dz1 = da1 * (cache["z1"] > 0)
-    grad.view("conv1_w")[...] = np.tensordot(cache["cols1"], dz1, axes=([0, 1, 2], [0, 1, 2]))
-    grad.view("conv1_b")[...] = dz1.sum(axis=(0, 1, 2))
-    return loss, grad.values
+    g["conv1_w"][...] = np.tensordot(cache["cols1"], dz1, axes=([0, 1, 2], [0, 1, 2]))
+    g["conv1_b"][...] = dz1.sum(axis=(0, 1, 2))
+    return loss, grad
 
 
 # ---- cases ------------------------------------------------------------------------------------
@@ -112,8 +115,8 @@ def kernel_cases(draw):
     assert spec.pool_factor == f
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     params = init_params(spec)
-    params.values *= draw(st.floats(0.25, 4.0))
-    params.values += rng.normal(0.0, 0.2, params.size)
+    params *= draw(st.floats(0.25, 4.0))
+    params += rng.normal(0.0, 0.2, params.size)
     n = draw(st.integers(1, 130))
     raw = rng.normal(0.3, 1.0, (n, h, w, spec.channels)).astype(np.float32)
     batch = raw if f >= 2 and draw(st.booleans()) else pool(spec, raw)
@@ -154,7 +157,7 @@ def test_degenerate_shapes_match_the_oracle_bit_for_bit():
                                       k1=k1, k2=k2, pool_target=max(hp, wp))
                 for _ in range(8):
                     params = init_params(spec)
-                    params.values += rng.normal(0.0, 0.2, params.size)
+                    params += rng.normal(0.0, 0.2, params.size)
                     batch = pool(spec, rng.normal(0.3, 1.0, (b, hp, wp, spec.channels)).astype(np.float32))
                     labels = rng.integers(0, 2, b)
                     np.testing.assert_array_equal(

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patchbias.errors import ValidationError
 from patchbias.metrics import evaluate
@@ -134,3 +136,26 @@ def test_to_dict_shape():
     assert set(d) == {"wga", "bca", "per_group", "per_class", "empty_groups"}
     assert d["empty_groups"] == [1]
     assert d["per_group"]["0"] == {"correct": 2, "total": 3, "accuracy": round(2 / 3, 4)}
+
+
+@st.composite
+def scored_samples(draw):
+    """(preds, labels, groups) with group = 2 * label + spurious bit, as the pipeline assigns them."""
+    n = draw(st.integers(1, 80))
+    bits = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    labels, spurious, preds = (np.array(draw(bits)) for _ in range(3))
+    return preds, labels, 2 * labels + spurious
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=scored_samples())
+def test_wga_bounds_every_class_accuracy_and_bca_is_their_mean(case):
+    preds, labels, groups = case
+    ev = evaluate(preds, labels, groups)
+    class_acc = [
+        int(np.sum(preds[labels == c] == c)) / int(np.sum(labels == c)) for c in (0, 1) if np.any(labels == c)
+    ]
+    assert [s.accuracy for s in ev.per_class.values()] == class_acc
+    assert all(ev.wga <= acc for acc in class_acc)
+    assert ev.bca == sum(class_acc) / len(class_acc)
+    assert ev.wga <= ev.bca

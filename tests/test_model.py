@@ -8,18 +8,17 @@ import pytest
 from patchbias.errors import ValidationError
 from patchbias.model import (
     ClassifierSpec,
-    ParamVector,
-    flatten,
     forward,
     init_params,
     load_checkpoint,
     loss_and_grad,
     param_layout,
+    param_views,
     predict,
     relu_margin,
     save_checkpoint,
-    unflatten,
 )
+from patchbias.tensorio import write_tensor
 
 # small enough for exhaustive finite differences, large enough to hit both convs
 TINY = ClassifierSpec(input_height=16, input_width=16, channels=1, k1=3, k2=4, pool_target=16, seed=3)
@@ -39,8 +38,7 @@ def test_tiny_spec_stays_small():
 
 
 def test_zero_params_give_zero_logits():
-    params = init_params(TINY)
-    params.values[:] = 0.0
+    params = np.zeros_like(init_params(TINY))
     logits = forward(TINY, params, _batch(TINY, 5, 0))
     assert logits.shape == (5, 2)
     assert np.all(logits == 0.0)
@@ -74,8 +72,7 @@ def test_forward_is_pure():
 
 
 def test_equal_logits_cost_ln2_per_sample():
-    params = init_params(TINY)
-    params.values[:] = 0.0  # zero net -> both logits zero -> uniform softmax
+    params = np.zeros_like(init_params(TINY))  # zero net -> both logits zero -> uniform softmax
     for labels in ([0, 0, 0], [1, 1, 1], [0, 1, 0]):
         loss, _ = loss_and_grad(TINY, params, _batch(TINY, 3, 5), np.array(labels))
         assert loss == pytest.approx(math.log(2.0), abs=1e-12)
@@ -86,9 +83,7 @@ def test_loss_decreases_along_negative_gradient():
     x = _batch(TINY, 8, 6)
     y = _labels(8, 6)
     loss0, grad = loss_and_grad(TINY, params, x, y)
-    stepped = params.copy()
-    stepped.values -= 0.05 * grad
-    loss1, _ = loss_and_grad(TINY, stepped, x, y)
+    loss1, _ = loss_and_grad(TINY, params - 0.05 * grad, x, y)
     assert loss1 < loss0
 
 
@@ -102,12 +97,12 @@ def test_gradient_matches_central_finite_differences():
     fd = np.empty_like(grad)
     work = params.copy()
     for i in range(params.size):
-        orig = work.values[i]
-        work.values[i] = orig + h
+        orig = work[i]
+        work[i] = orig + h
         lp, _ = loss_and_grad(TINY, work, x, y)
-        work.values[i] = orig - h
+        work[i] = orig - h
         lm, _ = loss_and_grad(TINY, work, x, y)
-        work.values[i] = orig
+        work[i] = orig
         fd[i] = (lp - lm) / (2.0 * h)
     rel = np.abs(grad - fd) / np.maximum.reduce([np.abs(grad), np.abs(fd), np.full_like(fd, 1e-6)])
     assert rel.max() < 1e-4
@@ -128,29 +123,26 @@ def test_duplicating_batch_preserves_loss_and_gradient():
 
 
 def test_loss_finite_at_extreme_logits():
-    params = init_params(TINY)
-    params.values[:] = 0.0
+    params = np.zeros_like(init_params(TINY))
     for scale in (1e2, 1e4):
         for sign in (1.0, -1.0):
-            params.view("fc_b")[...] = [sign * scale, -sign * scale]
+            param_views(TINY, params)["fc_b"][...] = [sign * scale, -sign * scale]
             loss, grad = loss_and_grad(TINY, params, _batch(TINY, 3, 9), np.array([0, 1, 0]))
             assert math.isfinite(loss)
             assert np.all(np.isfinite(grad))
 
 
 def test_predict_prefers_larger_logit():
-    params = init_params(TINY)
-    params.values[:] = 0.0
-    params.view("fc_b")[...] = [0.2, 0.9]
+    params = np.zeros_like(init_params(TINY))
+    param_views(TINY, params)["fc_b"][...] = [0.2, 0.9]
     assert predict(TINY, params, _batch(TINY, 3, 10)).tolist() == [1, 1, 1]
-    params.view("fc_b")[...] = [0.9, 0.2]
+    param_views(TINY, params)["fc_b"][...] = [0.9, 0.2]
     assert predict(TINY, params, _batch(TINY, 3, 10)).tolist() == [0, 0, 0]
 
 
 def test_predict_breaks_exact_ties_toward_zero():
-    params = init_params(TINY)
-    params.values[:] = 0.0
-    params.view("fc_b")[...] = [0.5, 0.5]
+    params = np.zeros_like(init_params(TINY))
+    param_views(TINY, params)["fc_b"][...] = [0.5, 0.5]
     assert predict(TINY, params, _batch(TINY, 4, 11)).tolist() == [0, 0, 0, 0]
 
 
@@ -159,33 +151,26 @@ def test_predict_invariant_to_constant_logit_shift():
     x = _batch(TINY, 8, 12)
     base = predict(TINY, params, x)
     shifted = params.copy()
-    shifted.view("fc_b")[...] += 3.7
+    param_views(TINY, shifted)["fc_b"][...] += 3.7
     np.testing.assert_array_equal(predict(TINY, shifted, x), base)
 
 
 def test_init_params_deterministic_per_seed():
     a = init_params(TINY)
     b = init_params(TINY)
-    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a, b)
     other = init_params(ClassifierSpec(16, 16, 1, k1=3, k2=4, pool_target=16, seed=4))
-    assert not np.array_equal(a.values, other.values)
+    assert not np.array_equal(a, other)
 
 
 def test_init_biases_zero_and_weights_bounded_by_fan_in():
-    params = init_params(TINY)
-    assert np.all(params.view("conv1_b") == 0.0)
-    assert np.all(params.view("conv2_b") == 0.0)
-    assert np.all(params.view("fc_b") == 0.0)
+    views = param_views(TINY, init_params(TINY))
+    assert np.all(views["conv1_b"] == 0.0)
+    assert np.all(views["conv2_b"] == 0.0)
+    assert np.all(views["fc_b"] == 0.0)
     for name, fan_in in (("conv1_w", 9), ("conv2_w", 27), ("fc_w", 4)):
-        w = params.view(name)
+        w = views[name]
         assert np.abs(w).max() <= 1.0 / math.sqrt(fan_in)
-
-
-def test_layout_round_trip():
-    params = init_params(TINY)
-    rebuilt = flatten(TINY, unflatten(params))
-    assert rebuilt.layout == params.layout
-    np.testing.assert_array_equal(rebuilt.values, params.values)
 
 
 def test_layout_offsets_are_contiguous():
@@ -199,20 +184,19 @@ def test_layout_offsets_are_contiguous():
 
 def test_param_view_aliases_flat_vector():
     params = init_params(TINY)
-    params.view("fc_b")[0] = 123.0
-    name, shape, offset = next(e for e in params.layout if e[0] == "fc_b")
-    assert params.values[offset] == 123.0
+    views = param_views(TINY, params)
+    views["fc_b"][0] = 123.0
+    name, shape, offset = next(e for e in param_layout(TINY) if e[0] == "fc_b")
+    assert params[offset] == 123.0
+    assert [(n, v.shape) for n, v in views.items()] == [(n, shape) for n, shape, _ in param_layout(TINY)]
 
 
-def test_flatten_rejects_missing_and_misshapen_tensors():
-    tensors = unflatten(init_params(TINY))
-    del tensors["fc_b"]
-    with pytest.raises(ValidationError, match="fc_b"):
-        flatten(TINY, tensors)
-    tensors = unflatten(init_params(TINY))
-    tensors["conv1_w"] = tensors["conv1_w"][..., :1]
-    with pytest.raises(ValidationError, match="conv1_w"):
-        flatten(TINY, tensors)
+def test_param_views_reject_a_vector_of_another_size():
+    params = init_params(TINY)
+    with pytest.raises(ValidationError, match="parameter vector"):
+        param_views(TINY, params[:-1])
+    with pytest.raises(ValidationError, match="parameter vector"):
+        forward(TINY, np.concatenate([params, [0.0]]), _batch(TINY, 2, 16))
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -222,9 +206,9 @@ def test_checkpoint_round_trip(tmp_path):
     assert path.exists() and path.with_suffix(".json").exists()
     spec2, params2 = load_checkpoint(path)
     assert spec2 == TINY
-    assert params2.layout == params.layout
+    assert params2.dtype == np.float64
     # storage is float32, so values agree only to single precision
-    np.testing.assert_array_equal(params2.values, params.values.astype(np.float32).astype(np.float64))
+    np.testing.assert_array_equal(params2, params.astype(np.float32).astype(np.float64))
     x = _batch(TINY, 4, 13)
     np.testing.assert_allclose(forward(spec2, params2, x), forward(TINY, params, x), atol=1e-5)
 
@@ -238,6 +222,15 @@ def test_checkpoint_rejects_layout_mismatch(tmp_path):
     sidecar["layout"][0][1] = [3, 3, 2, 3]  # claim a different channel count
     path.with_suffix(".json").write_text(json.dumps(sidecar))
     with pytest.raises(ValidationError, match="layout"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_a_parameter_count_mismatch(tmp_path):
+    path = tmp_path / "ckpt.pbt"
+    params = init_params(TINY)
+    save_checkpoint(path, TINY, params)
+    write_tensor(path, params[:-1].astype(np.float32))  # the sidecar still describes the full layout
+    with pytest.raises(ValidationError, match="parameter count"):
         load_checkpoint(path)
 
 

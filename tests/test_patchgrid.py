@@ -121,8 +121,6 @@ def test_multilabel_vector_rejects_empty_classes():
 def test_grid_spec_validation():
     with pytest.raises(ValidationError):
         PatchGridSpec(0, 4).validate()
-    with pytest.raises(ValidationError):
-        PatchGridSpec(4, 4, edge_policy="pad").validate()
 
 
 def test_partition_on_generated_scene_labels_match_scene_content():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from patchbias.errors import ValidationError
@@ -157,3 +159,49 @@ def test_draws_are_pure_functions_of_seed_epoch_step():
 def test_streams_are_independent():
     ds = dataset(seed=13)
     assert not np.array_equal(draw_biased(ds, 16, 1, 1), draw_erm(ds, 16, 1, 1))
+
+
+# ---- properties over random group sizes, seeds and batch sizes ----------------------------
+
+PROPERTY = settings(max_examples=80, deadline=None)
+group_sizes = st.tuples(*[st.integers(1, 40)] * 4)
+seeds = st.integers(0, 2**63 - 1)
+
+
+@PROPERTY
+@given(batch=st.integers(4, 2000), sizes=group_sizes, seed=seeds)
+def test_balanced_quotas_sum_to_the_batch_and_differ_by_at_most_one(batch, sizes, seed):
+    counts = balanced_group_counts(batch)
+    assert sum(counts) == batch
+    assert max(counts) - min(counts) <= 1
+    idx = draw_less_biased(dataset(sizes, seed), batch, epoch=1, step=2)
+    assert tuple(np.bincount(np.repeat(np.arange(4), sizes)[idx], minlength=4)) == counts
+
+
+@PROPERTY
+@given(
+    sizes=group_sizes, seed=seeds, batch=st.integers(4, 64),
+    calls=st.lists(
+        st.tuples(st.sampled_from((draw_biased, draw_less_biased, draw_erm)), st.integers(0, 9), st.integers(0, 9)),
+        min_size=1, max_size=10,
+    ),
+)
+def test_every_draw_is_a_pure_function_of_seed_stream_epoch_step(sizes, seed, batch, calls):
+    steps = erm_steps_per_epoch(sum(sizes), batch)
+    calls = [(draw, epoch, step % steps) for draw, epoch, step in calls]
+    first = [draw(dataset(sizes, seed), batch, epoch, step) for draw, epoch, step in calls]
+    # one shared dataset object, the calls in reverse order: no state carries over
+    shared = dataset(sizes, seed)
+    again = [draw(shared, batch, epoch, step) for draw, epoch, step in reversed(calls)][::-1]
+    for a, b in zip(first, again):
+        assert np.array_equal(a, b)
+
+
+@PROPERTY
+@given(sizes=group_sizes, seed=seeds, batch=st.integers(1, 80), epoch=st.integers(0, 50))
+def test_one_epoch_of_erm_slices_partitions_the_records(sizes, seed, batch, epoch):
+    ds = dataset(sizes, seed)
+    slices = [draw_erm(ds, batch, epoch, step) for step in range(erm_steps_per_epoch(ds.size, batch))]
+    assert all(len(s) == batch for s in slices[:-1])
+    assert 1 <= len(slices[-1]) <= batch
+    assert np.array_equal(np.sort(np.concatenate(slices)), np.arange(ds.size))

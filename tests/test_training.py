@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from patchbias.errors import NonFiniteGradientError, ValidationError
-from patchbias.model import ClassifierSpec, init_params
+from patchbias.model import ClassifierSpec, init_params, param_views
 from patchbias import training
 from patchbias.training import (
     History,
@@ -37,11 +37,11 @@ def _split(n, seed):
 
 def _separator_params():
     """Hand-built weights that label positive-mean patches 1 and the rest 0."""
-    params = init_params(SPEC)
-    params.values[:] = 0.0
-    params.view("conv1_w")[...] = 0.5
-    params.view("conv2_w")[...] = 0.5
-    params.view("fc_w")[...] = np.array([[-1.0, 1.0]] * SPEC.k2)
+    params = np.zeros_like(init_params(SPEC))
+    views = param_views(SPEC, params)
+    views["conv1_w"][...] = 0.5
+    views["conv2_w"][...] = 0.5
+    views["fc_w"][...] = np.array([[-1.0, 1.0]] * SPEC.k2)
     return params
 
 
@@ -105,20 +105,20 @@ def test_gerne_step_with_equal_batches_matches_erm_step():
     x, y = split.x[:8], split.y[:8]
     for beta in (-0.5, 0.0, 1.0, 2.0):
         p0 = init_params(SPEC)
-        v0 = np.zeros_like(p0.values)
+        v0 = np.zeros_like(p0)
         pe, ve, _ = erm_step(SPEC, p0.copy(), v0.copy(), x, y, lr=0.1, momentum=0.9)
         pg, vg, _, _ = gerne_step(
             SPEC, p0.copy(), v0.copy(), x, y, x, y, beta=beta, lr=0.1, momentum=0.9
         )
         # g_lb == g_b makes the extrapolation a no-op up to rounding
-        np.testing.assert_allclose(pg.values, pe.values, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pg, pe, rtol=0, atol=1e-12)
         np.testing.assert_allclose(vg, ve, rtol=0, atol=1e-12)
 
 
 def test_gerne_step_beta_zero_ignores_the_biased_batch():
     split = _split(16, 3)
     p0 = init_params(SPEC)
-    v0 = np.zeros_like(p0.values)
+    v0 = np.zeros_like(p0)
     pe, ve, _ = erm_step(SPEC, p0.copy(), v0.copy(), split.x[8:], split.y[8:], lr=0.1, momentum=0.9)
     pg, vg, _, _ = gerne_step(
         SPEC, p0.copy(), v0.copy(),
@@ -126,14 +126,14 @@ def test_gerne_step_beta_zero_ignores_the_biased_batch():
         split.x[8:], split.y[8:],
         beta=0.0, lr=0.1, momentum=0.9,
     )
-    assert np.array_equal(pg.values, pe.values)
+    assert np.array_equal(pg, pe)
     assert np.array_equal(vg, ve)
 
 
 def test_gerne_step_rejects_empty_batches():
     split = _split(8, 4)
     p0 = init_params(SPEC)
-    v0 = np.zeros_like(p0.values)
+    v0 = np.zeros_like(p0)
     empty_x = split.x[:0]
     empty_y = split.y[:0]
     with pytest.raises(ValidationError, match="non-empty"):
@@ -143,7 +143,7 @@ def test_gerne_step_rejects_empty_batches():
 def test_non_finite_gradients_abort_and_name_the_stream():
     split = _split(8, 5)
     p0 = init_params(SPEC)
-    v0 = np.zeros_like(p0.values)
+    v0 = np.zeros_like(p0)
     bad = split.x.copy()
     bad[0, 0, 0, 0] = np.nan
     with pytest.raises(NonFiniteGradientError, match="training"):
@@ -211,7 +211,7 @@ def test_train_history_requires_beta_for_gerne_and_data():
 
 def _history_from(snapshots):
     return History(
-        spec=SPEC, seed=0,
+        spec=SPEC,
         snapshots=[s.copy() for s in snapshots],
         train_losses=[0.0] * len(snapshots),
     )
@@ -219,7 +219,7 @@ def _history_from(snapshots):
 
 def test_select_checkpoint_single_epoch():
     val = _split(16, 8)
-    history = _history_from([init_params(SPEC).values])
+    history = _history_from([init_params(SPEC)])
     checkpoint, log = select_checkpoint(history, val, "bca")
     assert checkpoint.epoch == 1
     assert len(log) == 1
@@ -228,8 +228,8 @@ def test_select_checkpoint_single_epoch():
 
 def test_select_checkpoint_takes_strictly_better_epoch():
     val = _split(32, 9)
-    zeros = np.zeros_like(init_params(SPEC).values)
-    history = _history_from([zeros, _separator_params().values])
+    zeros = np.zeros_like(init_params(SPEC))
+    history = _history_from([zeros, _separator_params()])
     for metric in ("bca", "wga"):
         checkpoint, log = select_checkpoint(history, val, metric)
         assert checkpoint.epoch == 2
@@ -240,7 +240,7 @@ def test_select_checkpoint_takes_strictly_better_epoch():
 
 def test_select_checkpoint_keeps_earlier_epoch_on_tie():
     val = _split(16, 10)
-    good = _separator_params().values
+    good = _separator_params()
     history = _history_from([good, good, good])
     checkpoint, _ = select_checkpoint(history, val, "wga")
     assert checkpoint.epoch == 1
@@ -249,7 +249,7 @@ def test_select_checkpoint_keeps_earlier_epoch_on_tie():
 def test_worst_group_selection_requires_all_groups_in_validation():
     val = _split(16, 11)
     val.groups[val.groups == 2] = 3  # drop group 2
-    history = _history_from([init_params(SPEC).values])
+    history = _history_from([init_params(SPEC)])
     with pytest.raises(ValidationError, match="missing \\[2\\]"):
         select_checkpoint(history, val, "wga")
     # bca selection does not need group coverage
@@ -284,7 +284,7 @@ def test_run_experiment_builds_the_full_grid():
     assert [c.row_label for c in report.cells] == ["ERM+BCA", "ERM+WGA", "GERNE+WGA"]
     cell = report.cell("gerne", "wga", 0.1)
     assert cell.beta == 0.5
-    assert len(cell.trials) == 1
+    assert len(cell.outcomes) == 1
     assert cell.wga_std == 0.0 and cell.bca_std == 0.0  # single trial
     with pytest.raises(KeyError):
         report.cell("gerne", "bca", 0.1)
@@ -295,8 +295,8 @@ def test_run_experiment_repeated_seed_gives_zero_spread():
     config = _experiment_config(trials=2, seed=7)
     first, again = (run_experiment(SPEC, {0.1: (train, val, test)}, config) for _ in range(2))
     for a, b in zip(first.cells, again.cells):
-        assert [t.seed for t in a.trials] == [7, 8]
-        assert [t.to_dict() for t in a.trials] == [t.to_dict() for t in b.trials]
+        assert [t.seed for t in a.outcomes] == [7, 8]
+        assert [t.to_dict() for t in a.outcomes] == [t.to_dict() for t in b.outcomes]
         assert (a.wga_mean, a.wga_std, a.bca_mean, a.bca_std) == (b.wga_mean, b.wga_std, b.bca_mean, b.bca_std)
 
 
@@ -313,7 +313,7 @@ def test_run_experiment_shares_erm_trajectories_across_thresholds():
     b = report.cell("erm", "bca", 0.03)
     # balanced-class selection ignores groups, so shared weights mean equal scores
     assert a.bca_mean == b.bca_mean
-    assert [t.best_epoch for t in a.trials] == [t.best_epoch for t in b.trials]
+    assert [t.checkpoint.epoch for t in a.outcomes] == [t.checkpoint.epoch for t in b.outcomes]
 
 
 def test_run_experiment_validates_the_data_grid():
@@ -361,7 +361,7 @@ def test_run_experiment_trains_each_trajectory_once(monkeypatch, beta, trajector
     assert sorted(seed for method, seed, _ in calls if method == "erm") == [3, 4]
     for tau in (0.1, 0.03):
         cell = report.cell("gerne", "wga", tau)
-        assert [t.seed for t in cell.trials] == [3, 4]
+        assert [t.seed for t in cell.outcomes] == [3, 4]
         if beta is None:
             assert list(cell.beta_scores) == [-0.5, 0.0, 1.0]
             assert cell.beta_scores[cell.beta] == max(cell.beta_scores.values())
