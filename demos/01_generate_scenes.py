@@ -25,16 +25,16 @@ specs = [
 print("seed  tumor_px  healthy_px  coverage (target 0.15)")
 for spec in specs:
     image, mask = generate_scene(spec)
-    tumor = int((mask.labels == TissueClass.TUMOR).sum())
-    healthy = int((mask.labels == TissueClass.HEALTHY).sum())
-    print(f"{spec.seed:4d}  {tumor:8d}  {healthy:10d}  {tumor / mask.labels.size:.4f}")
+    tumor = int((mask == TissueClass.TUMOR).sum())
+    healthy = int((mask == TissueClass.HEALTHY).sum())
+    print(f"{spec.seed:4d}  {tumor:8d}  {healthy:10d}  {tumor / mask.size:.4f}")
 
 image, mask = generate_scene(specs[0])
 again, _ = generate_scene(specs[0])
-print("regeneration is bit-identical:", np.array_equal(image.data, again.data))
+print("regeneration is bit-identical:", np.array_equal(image, again))
 
 with tempfile.TemporaryDirectory(prefix="patchbias_demo_") as tmp:
     out = Path(tmp) / "scene.pbt"
-    write_tensor(out, image.data)
+    write_tensor(out, image)
     back = read_tensor(out)
-print(f"tensor container round trip ({out.name}):", np.array_equal(image.data, back))
+print(f"tensor container round trip ({out.name}):", np.array_equal(image, back))

@@ -6,7 +6,7 @@ Tile one scene into a patch grid, label each patch by tumor presence, and
 look at the composition ratios that drive the spurious-correlation story.
 """
 
-from patchbias.composition import assign_group, binarize_spurious, compute_ratios
+from patchbias.composition import GROUP_NAMES, assign_group, binarize_spurious, compute_ratios
 from patchbias.patchgrid import PatchGridSpec, binary_label, partition
 from patchbias.synthdata import SceneSpec, generate_scene
 
@@ -31,10 +31,10 @@ for p in patches:
 
 # tighter threshold, different grouping of the same patches
 for tau in (0.1, 0.03):
-    counts = [0, 0, 0, 0]
+    counts = [0] * len(GROUP_NAMES)
     for p in patches:
         y = binary_label(p.mask)
         z = binarize_spurious(compute_ratios(p.mask).r_tissue, tau)
         counts[assign_group(y, z)] += 1
-    print(f"\ntau={tau}: group sizes y0_z0={counts[0]} y0_z1={counts[1]} "
-          f"y1_z0={counts[2]} y1_z1={counts[3]}")
+    sizes = " ".join(f"{name}={count}" for name, count in zip(GROUP_NAMES, counts))
+    print(f"\ntau={tau}: group sizes {sizes}")

@@ -17,7 +17,6 @@ from .composition import (
     assign_group,
     binarize_spurious,
     compute_ratios,
-    decode_group,
     infer_tissue,
 )
 from .errors import NonFiniteGradientError, PatchBiasError, ValidationError
@@ -30,9 +29,7 @@ from .synthdata import (
     SPLITS,
     DatasetManifest,
     ManifestEntry,
-    MultimodalImage,
     SceneSpec,
-    SegmentationMask,
     TissueClass,
     generate_corpus,
     generate_scene,
@@ -59,16 +56,15 @@ __all__ = [
     "__version__",
     "ConditionalHistogram", "bias_report", "histogram", "overlay_predictions",
     "DEFAULT_TISSUE_EPSILON", "GROUP_NAMES", "PatchRatios", "assign_group",
-    "binarize_spurious", "compute_ratios", "decode_group", "infer_tissue",
+    "binarize_spurious", "compute_ratios", "infer_tissue",
     "NonFiniteGradientError", "PatchBiasError", "ValidationError",
     "CountStat", "EvalResult", "evaluate",
     "ClassifierSpec", "forward", "init_params", "loss_and_grad", "pool", "predict",
     "Patch", "PatchGridSpec", "binary_label", "multilabel_vector", "partition",
     "PatchRecord", "read_patch_index", "tau_key", "write_patch_index",
     "GroupedDataset", "draw_biased", "draw_erm", "draw_less_biased", "erm_steps_per_epoch",
-    "SPLITS", "DatasetManifest", "ManifestEntry", "MultimodalImage", "SceneSpec",
-    "SegmentationMask", "TissueClass", "generate_corpus", "generate_scene",
-    "load_scene", "materialize", "split_counts",
+    "SPLITS", "DatasetManifest", "ManifestEntry", "SceneSpec", "TissueClass",
+    "generate_corpus", "generate_scene", "load_scene", "materialize", "split_counts",
     "read_tensor", "write_tensor",
     "CellReport", "RunReport", "SplitData", "TrainConfig", "TrialOutcome",
     "erm_step", "extrapolated_gradient", "gerne_step", "run_experiment",

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomicio import open_atomic
-from .composition import binarize_spurious
+from .composition import GROUP_NAMES, assign_group, binarize_spurious
 from .errors import ValidationError
 from .records import PatchRecord
 
@@ -35,7 +35,6 @@ def _ratio_value(record: PatchRecord, kind: str) -> float | None:
 
 @dataclass(frozen=True)
 class ConditionalHistogram:
-    ratio_kind: str
     condition_label: int
     bin_edges: np.ndarray  # (n_bins + 1,)
     counts: np.ndarray  # (n_bins,) int
@@ -51,10 +50,6 @@ class ConditionalHistogram:
     @property
     def n_bins(self) -> int:
         return self.counts.size
-
-    @property
-    def is_empty(self) -> bool:
-        return self.n_matching == 0
 
 
 def bin_index(value: float, bin_edges: np.ndarray) -> int:
@@ -99,7 +94,6 @@ def histogram(
     total = int(counts.sum())
     mass = counts / total if total else np.zeros(n_bins, dtype=np.float64)
     return ConditionalHistogram(
-        ratio_kind=ratio_kind,
         condition_label=condition_label,
         bin_edges=edges,
         counts=counts,
@@ -147,24 +141,19 @@ def bias_report(records: list[PatchRecord], tau: float) -> dict:
     """
     if not records:
         raise ValidationError("bias report needs at least one record")
-    group_counts = [0, 0, 0, 0]
-    agree = 0
+    counts = [0] * len(GROUP_NAMES)
+    label_pos = proxy_pos = agree = 0
     for record in records:
         z = binarize_spurious(record.r_tissue, tau)
-        group_counts[2 * record.label + z] += 1
+        counts[assign_group(record.label, z)] += 1
+        label_pos += record.label
+        proxy_pos += z
         agree += int(z == record.label)
     n = len(records)
-    label_pos = group_counts[2] + group_counts[3]
-    proxy_pos = group_counts[1] + group_counts[3]
     return {
         "tau": tau,
         "n_records": n,
-        "group_counts": {
-            "y0_z0": group_counts[0],
-            "y0_z1": group_counts[1],
-            "y1_z0": group_counts[2],
-            "y1_z1": group_counts[3],
-        },
+        "group_counts": dict(zip(GROUP_NAMES, counts)),
         "label_positive_rate": round(label_pos / n, 4),
         "proxy_positive_rate": round(proxy_pos / n, 4),
         "alignment": round(agree / n, 4),

@@ -23,10 +23,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "--out", default=None,
             help=f"output root; overrides ${harness.ENV_OUT_ROOT} and the config's out_root",
         )
-        p.add_argument("--seed", type=int, default=None, help="override train.seed")
-        p.add_argument("--tau", type=float, default=None, help="restrict patch.taus to one threshold")
-        p.add_argument("--beta", type=float, default=None, help="fix train.beta instead of tuning")
-        p.add_argument("--trials", type=int, default=None, help="override train.trials")
         return p
 
     add("generate", "render the synthetic image corpus")
@@ -38,23 +34,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(config: dict, args: argparse.Namespace) -> None:
-    if args.seed is not None:
-        config["train"]["seed"] = args.seed
-    if args.tau is not None:
-        config["patch"]["taus"] = [args.tau]
-    if args.beta is not None:
-        config["train"]["beta"] = args.beta
-    if args.trials is not None:
-        config["train"]["trials"] = args.trials
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = harness.load_config(args.config)
-        _apply_overrides(config, args)
-        harness.validate_config(config)
         out_root = harness.resolve_out_root(config, args.out)
         out_root.mkdir(parents=True, exist_ok=True)
         if args.command == "generate":

@@ -81,9 +81,3 @@ def assign_group(y: int, z: int) -> int:
     if y not in (0, 1) or z not in (0, 1):
         raise ValidationError(f"y and z must be binary, got y={y}, z={z}")
     return 2 * y + z
-
-
-def decode_group(group_id: int) -> tuple[int, int]:
-    if group_id not in (0, 1, 2, 3):
-        raise ValidationError(f"group id must be in 0..3, got {group_id}")
-    return group_id // 2, group_id % 2

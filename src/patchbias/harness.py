@@ -30,13 +30,14 @@ import numpy as np
 
 from . import __version__
 from .analysis import bias_report, histogram, overlay_predictions, write_histogram_csv
-from .atomicio import atomic_path, open_atomic, write_atomic
+from .atomicio import atomic_dir, atomic_path, write_atomic
 from .composition import assign_group, binarize_spurious, compute_ratios, infer_tissue
 from .errors import ValidationError, is_int, is_number
 from .model import ClassifierSpec, save_checkpoint
 from .patchgrid import PatchGridSpec, binary_label, partition
 from .records import PatchRecord, read_patch_index, tau_key, write_patch_index
 from .synthdata import (
+    _MAX_BACKGROUND_CAP,
     SPLITS,
     DatasetManifest,
     SceneSpec,
@@ -155,6 +156,15 @@ def validate_config(config: dict) -> None:
     for key in ("background_intensity_max", "noise_sigma", "rim_thickness"):
         if not is_number(d[key]) or d[key] < 0:
             raise ValidationError(f"config field dataset.{key} must be a non-negative finite number")
+    if d["background_intensity_max"] > _MAX_BACKGROUND_CAP:
+        raise ValidationError(
+            f"config field dataset.background_intensity_max must be <= {_MAX_BACKGROUND_CAP}, "
+            f"got {d['background_intensity_max']}"
+        )
+    if d["seed"] + d["images"] - 1 >= 2**64:
+        raise ValidationError(
+            "config field dataset.seed: scene seeds seed .. seed + images - 1 must stay below 2**64"
+        )
     sf = d["split_fractions"]
     if not (isinstance(sf, list) and len(sf) == 3 and all(is_number(x) and x >= 0 for x in sf)):
         raise ValidationError("config field dataset.split_fractions must be three non-negative numbers")
@@ -540,31 +550,32 @@ def cmd_train(config: dict, out_root: Path) -> RunReport:
     model_spec = model_spec_from_config(config)
     report = run_experiment(model_spec, data_by_tau, TrainConfig(**config["train"]))
 
-    train_dir = out_root / "train"
     artifacts = {}
-    for cell in report.cells:
-        cdir = train_dir / cell_dir_name(cell.method, cell.eval_metric, cell.tau)
-        for k, outcome in enumerate(cell.outcomes):
-            tdir = cdir / f"trial{k}"
-            tdir.mkdir(parents=True, exist_ok=True)
-            with open_atomic(tdir / "epochs.csv") as fh:
-                fh.write("epoch,train_loss,val_wga,val_bca\n")
-                for row in outcome.log:
-                    fh.write(f"{row.epoch},{row.train_loss:.6f},{row.val_wga:.6f},{row.val_bca:.6f}\n")
-            save_checkpoint(tdir / "checkpoint.pbt", model_spec, outcome.checkpoint.params)
-            with open_atomic(tdir / "test_predictions.csv") as fh:
-                fh.write("image_id,grid_row,grid_col,label,pred\n")
-                for rec, pred in zip(test_records, outcome.test_preds):
-                    fh.write(f"{rec.image_id},{rec.grid_row},{rec.grid_col},{rec.label},{int(pred)}\n")
-        artifacts[cdir.name] = str(cdir.relative_to(out_root))
+    # the whole tree is built beside train/ and swapped in at the end, so a
+    # failed write leaves the previous run's files and results.json as they were
+    with atomic_dir(out_root / "train") as staged:
+        for cell in report.cells:
+            name = cell_dir_name(cell.method, cell.eval_metric, cell.tau)
+            for k, outcome in enumerate(cell.outcomes):
+                tdir = staged / name / f"trial{k}"
+                tdir.mkdir(parents=True)
+                with open(tdir / "epochs.csv", "w", encoding="utf-8") as fh:
+                    fh.write("epoch,train_loss,val_wga,val_bca\n")
+                    for row in outcome.log:
+                        fh.write(f"{row.epoch},{row.train_loss:.6f},{row.val_wga:.6f},{row.val_bca:.6f}\n")
+                save_checkpoint(tdir / "checkpoint.pbt", model_spec, outcome.checkpoint.params)
+                with open(tdir / "test_predictions.csv", "w", encoding="utf-8") as fh:
+                    fh.write("image_id,grid_row,grid_col,label,pred\n")
+                    for rec, pred in zip(test_records, outcome.test_preds):
+                        fh.write(f"{rec.image_id},{rec.grid_row},{rec.grid_col},{rec.label},{int(pred)}\n")
+            artifacts[name] = f"train/{name}"
 
-    results = {
-        "config_hash": config_hash(config),
-        "taus": config["patch"]["taus"],
-        "cells": [cell.to_dict() for cell in report.cells],
-    }
-    results_path = train_dir / "results.json"
-    write_atomic(results_path, json.dumps(results, indent=2, sort_keys=True))
+        results = {
+            "config_hash": config_hash(config),
+            "taus": config["patch"]["taus"],
+            "cells": [cell.to_dict() for cell in report.cells],
+        }
+        (staged / "results.json").write_text(json.dumps(results, indent=2, sort_keys=True), encoding="utf-8")
     artifacts["results"] = "train/results.json"
     _update_run_manifest(out_root, config, "train", artifacts, time.monotonic() - started)
     for cell in report.cells:

@@ -29,7 +29,6 @@ class CountStat:
 @dataclass
 class EvalResult:
     per_group: dict[int, CountStat]
-    per_class: dict[int, CountStat]
     wga: float
     bca: float
     empty_groups: tuple[int, ...]
@@ -37,24 +36,9 @@ class EvalResult:
     def per_group_acc(self) -> dict[int, float]:
         return {g: s.accuracy for g, s in self.per_group.items()}
 
-    def to_dict(self) -> dict:
-        return {
-            "wga": self.wga,
-            "bca": self.bca,
-            "per_group": {
-                str(g): {"correct": s.correct, "total": s.total, "accuracy": round(s.accuracy, 4)}
-                for g, s in self.per_group.items()
-            },
-            "per_class": {
-                str(c): {"correct": s.correct, "total": s.total, "accuracy": round(s.accuracy, 4)}
-                for c, s in self.per_class.items()
-            },
-            "empty_groups": list(self.empty_groups),
-        }
-
 
 def evaluate(preds: np.ndarray, labels: np.ndarray, groups: np.ndarray) -> EvalResult:
-    """Per-group/per-class accuracies, their min (WGA) and unweighted class mean (BCA)."""
+    """Per-group accuracies, their min (WGA) and the unweighted mean of the class accuracies (BCA)."""
     preds = np.asarray(preds)
     labels = np.asarray(labels)
     groups = np.asarray(groups)
@@ -81,20 +65,16 @@ def evaluate(preds: np.ndarray, labels: np.ndarray, groups: np.ndarray) -> EvalR
             continue
         per_group[g] = CountStat(correct=int(correct[sel].sum()), total=total)
 
-    per_class = {}
+    class_acc = []
     for c in (0, 1):
         sel = labels == c
         total = int(sel.sum())
-        if total == 0:
-            continue
-        per_class[c] = CountStat(correct=int(correct[sel].sum()), total=total)
+        if total:
+            class_acc.append(int(correct[sel].sum()) / total)
 
-    wga = min(s.accuracy for s in per_group.values())
-    bca = sum(s.accuracy for s in per_class.values()) / len(per_class)
     return EvalResult(
         per_group=per_group,
-        per_class=per_class,
-        wga=wga,
-        bca=bca,
+        wga=min(s.accuracy for s in per_group.values()),
+        bca=sum(class_acc) / len(class_acc),
         empty_groups=tuple(empty),
     )

@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .synthdata import MultimodalImage, SegmentationMask, TissueClass
+from .synthdata import TissueClass
 
 # a plain int compares faster than the enum member
 _TUMOR = int(TissueClass.TUMOR)
@@ -34,17 +34,14 @@ class PatchGridSpec:
 class Patch:
     pixels: np.ndarray  # (h, w, M) view into the source image
     mask: np.ndarray  # (h, w) view into the source mask
-    image_id: str
     grid_row: int
     grid_col: int
 
 
-def partition(
-    image: MultimodalImage, mask: SegmentationMask, spec: PatchGridSpec
-) -> list[Patch]:
-    """Tile the image into a top-left-aligned grid, row-major, partial edges dropped."""
+def partition(data: np.ndarray, labels: np.ndarray, spec: PatchGridSpec) -> list[Patch]:
+    """Tile (H, W, M) pixels and their (H, W) mask into a top-left-aligned grid,
+    row-major, partial edges dropped."""
     spec.validate()
-    data, labels = image.data, mask.labels
     if data.shape[:2] != labels.shape:
         raise ValidationError(
             f"image {data.shape[:2]} and mask {labels.shape} disagree on size"
@@ -61,7 +58,6 @@ def partition(
                 Patch(
                     pixels=data[ys : ys + h, xs : xs + w],
                     mask=labels[ys : ys + h, xs : xs + w],
-                    image_id=image.image_id,
                     grid_row=gr,
                     grid_col=gc,
                 )

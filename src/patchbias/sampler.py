@@ -45,9 +45,6 @@ class GroupedDataset:
     def size(self) -> int:
         return sum(len(ix) for ix in self.group_indices)
 
-    def group_counts(self) -> tuple[int, ...]:
-        return tuple(len(ix) for ix in self.group_indices)
-
 
 def balanced_group_counts(batch_size: int) -> tuple[int, ...]:
     """Per-group quota for a balanced batch: B//4 each, residue to low group ids."""

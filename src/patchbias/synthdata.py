@@ -86,18 +86,6 @@ class SceneSpec:
             raise ValidationError(f"rim_thickness must be >= 0, got {self.rim_thickness}")
 
 
-@dataclass
-class MultimodalImage:
-    data: np.ndarray  # (H, W, M) float32 in [0, 1]
-    image_id: str
-
-
-@dataclass
-class SegmentationMask:
-    labels: np.ndarray  # (H, W) uint8 over TissueClass values
-    image_id: str
-
-
 def _class_profile(label: TissueClass, channels: int) -> np.ndarray:
     base = _TUMOR_BASE if label == TissueClass.TUMOR else _HEALTHY_BASE
     return np.resize(np.asarray(base, dtype=np.float64), channels)
@@ -221,9 +209,7 @@ def _paint_healthy(
     return healthy
 
 
-def generate_scene_details(
-    spec: SceneSpec,
-) -> tuple[MultimodalImage, SegmentationMask, dict]:
+def generate_scene_details(spec: SceneSpec) -> tuple[np.ndarray, np.ndarray, dict]:
     """Like generate_scene but also returns per-blob masks for geometry checks."""
     spec.validate()
     h, w, m = spec.height, spec.width, spec.channels
@@ -260,17 +246,15 @@ def generate_scene_details(
         sig = planes[int(np.argmax(_class_profile(label, m)))]
         np.maximum(sig, floor, out=sig, where=regions[label])
 
-    image_id = f"img{spec.seed}"
-    image = MultimodalImage(data=data.astype(np.float32), image_id=image_id)
-    seg = SegmentationMask(labels=mask, image_id=image_id)
     details = {"tumor_blob_masks": blob_masks, "tumor_blob_params": blob_params}
-    return image, seg, details
+    return data.astype(np.float32), mask, details
 
 
-def generate_scene(spec: SceneSpec) -> tuple[MultimodalImage, SegmentationMask]:
-    """Generate one image/mask pair; identical specs give bit-identical output."""
-    image, mask, _ = generate_scene_details(spec)
-    return image, mask
+def generate_scene(spec: SceneSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Generate one scene as (H, W, M) float32 pixels in [0, 1] and an (H, W)
+    uint8 mask over TissueClass values; identical specs give bit-identical output."""
+    data, labels, _ = generate_scene_details(spec)
+    return data, labels
 
 
 @dataclass
@@ -285,11 +269,6 @@ class ManifestEntry:
 @dataclass
 class DatasetManifest:
     entries: list[ManifestEntry] = field(default_factory=list)
-
-    def by_split(self, split: str) -> list[ManifestEntry]:
-        if split not in SPLITS:
-            raise ValidationError(f"unknown split {split!r}, expected one of {SPLITS}")
-        return [e for e in self.entries if e.split == split]
 
     def to_dict(self) -> dict:
         return {
@@ -359,13 +338,11 @@ def generate_corpus(
     if len(set(ids)) != len(ids):
         raise ValidationError("scene seeds must be unique within a corpus")
     counts = split_counts(len(specs), split_fractions)
-    entries = []
-    cursor = 0
-    for split, count in zip(SPLITS, counts):
-        for spec in specs[cursor : cursor + count]:
-            entries.append(ManifestEntry(image_id=f"img{spec.seed}", split=split, spec=spec))
-        cursor += count
-    return DatasetManifest(entries=entries)
+    splits = [split for split, count in zip(SPLITS, counts) for _ in range(count)]
+    return DatasetManifest(entries=[
+        ManifestEntry(image_id=image_id, split=split, spec=spec)
+        for image_id, split, spec in zip(ids, splits, specs)
+    ])
 
 
 def materialize(manifest: DatasetManifest, out_dir: str | Path) -> DatasetManifest:
@@ -375,28 +352,23 @@ def materialize(manifest: DatasetManifest, out_dir: str | Path) -> DatasetManife
     (out / "masks").mkdir(parents=True, exist_ok=True)
     entries = []
     for entry in manifest.entries:
-        image, mask = generate_scene(entry.spec)
+        data, labels = generate_scene(entry.spec)
         image_rel = f"images/{entry.image_id}.pbt"
         mask_rel = f"masks/{entry.image_id}.pbt"
-        write_tensor(out / image_rel, image.data)
-        write_tensor(out / mask_rel, mask.labels)
+        write_tensor(out / image_rel, data)
+        write_tensor(out / mask_rel, labels)
         entries.append(replace(entry, image_path=image_rel, mask_path=mask_rel))
     result = DatasetManifest(entries=entries)
     result.save(out / "manifest.json")
     return result
 
 
-def load_scene(manifest_dir: str | Path, entry: ManifestEntry) -> tuple[MultimodalImage, SegmentationMask]:
-    """Read one materialized image/mask pair back from disk."""
+def load_scene(manifest_dir: str | Path, entry: ManifestEntry) -> tuple[np.ndarray, np.ndarray]:
+    """Read one materialized (pixels, mask) pair back from disk."""
     if entry.image_path is None or entry.mask_path is None:
         raise ValidationError(f"manifest entry {entry.image_id} has no stored paths")
     root = Path(manifest_dir)
     missing = [str(root / p) for p in (entry.image_path, entry.mask_path) if not (root / p).exists()]
     if missing:
         raise ValidationError("missing dataset files: " + ", ".join(missing))
-    data = read_tensor(root / entry.image_path)
-    labels = read_tensor(root / entry.mask_path)
-    return (
-        MultimodalImage(data=data, image_id=entry.image_id),
-        SegmentationMask(labels=labels, image_id=entry.image_id),
-    )
+    return read_tensor(root / entry.image_path), read_tensor(root / entry.mask_path)

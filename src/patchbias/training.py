@@ -16,9 +16,9 @@ seeded runs and reports test worst-group and balanced-class accuracy as
 mean +/- sample std. Checkpoint selection happens on validation after every
 epoch. The thresholds share the patch and label arrays and differ only in
 group ids, which ERM never reads, so one ERM trajectory per seed serves every
-threshold and both selection metrics. When beta is not fixed, each threshold
-tunes it on validation at the first seed and reuses the chosen trajectory as
-its first trial.
+threshold and both selection metrics. Each threshold runs every entry of the
+beta grid (a fixed beta is a one-point grid) at the first seed, picks beta by
+validation score, and keeps the chosen run's outcome as its first trial.
 
 Pooling is the model's fixed first layer, so every entry point pools a split
 once (`model.pool`) and then indexes the pooled arrays: a trajectory pools
@@ -434,33 +434,32 @@ def run_experiment(
     erm_train = replace(shared[0], x=pooled[0])
     erm = [train_history(model_spec, METHOD_ERM, erm_train, seed=seed, **sgd) for seed in seeds]
 
+    # a fixed beta is a one-point grid; a repeated grid entry names the same
+    # trajectory, so it trains once
+    grid = [config.beta] if config.beta is not None else list(dict.fromkeys(config.beta_grid))
     cells: list[CellReport] = []
     for tau, splits in data_by_tau.items():
         train, val, test = (replace(s, x=x) for s, x in zip(splits, pooled))
+
+        def gerne(seed: int, beta: float, metric: str) -> TrialOutcome:
+            history = train_history(model_spec, METHOD_GERNE, train, seed=seed, beta=beta, **sgd)
+            return evaluate_outcome(history, val, test, metric)
+
         for method, metric in ROWS:
-            beta, beta_scores, histories = None, {}, erm
-            if method == METHOD_GERNE:
-                beta, histories = config.beta, []
-                if beta is None:
-                    # a repeated grid entry names the same trajectory, so it trains once
-                    grid = list(dict.fromkeys(config.beta_grid))
-                    tuned = [
-                        train_history(model_spec, METHOD_GERNE, train, seed=seeds[0], beta=b, **sgd)
-                        for b in grid
-                    ]
-                    scores = []
-                    for history in tuned:
-                        checkpoint, _ = select_checkpoint(history, val, metric)
-                        scores.append(checkpoint.val_wga if metric == "wga" else checkpoint.val_bca)
-                    best = scores.index(max(scores))  # a tie keeps the earlier grid entry
-                    beta, beta_scores, histories = grid[best], dict(zip(grid, scores)), [tuned[best]]
-                # a tuned beta's grid trajectory is already trial 0
-                histories += [
-                    train_history(model_spec, METHOD_GERNE, train, seed=seed, beta=beta, **sgd)
-                    for seed in seeds[len(histories):]
-                ]
+            if method == METHOD_ERM:
+                beta, beta_scores = None, {}
+                outcomes = [evaluate_outcome(h, val, test, metric) for h in erm]
+            else:
+                # every grid entry runs at the first seed and is scored on validation;
+                # the winner's outcome is trial 0 and the others' test results are dropped
+                tuned = [gerne(seeds[0], b, metric) for b in grid]
+                scores = [o.checkpoint.val_wga for o in tuned]
+                best = scores.index(max(scores))  # a tie keeps the earlier grid entry
+                beta = grid[best]
+                beta_scores = dict(zip(grid, scores)) if config.beta is None else {}
+                outcomes = [tuned[best]] + [gerne(seed, beta, metric) for seed in seeds[1:]]
             cells.append(CellReport(
                 method=method, eval_metric=metric, tau=tau, beta=beta, beta_scores=beta_scores,
-                outcomes=[evaluate_outcome(h, val, test, metric) for h in histories],
+                outcomes=outcomes,
             ))
     return RunReport(cells=cells)

@@ -15,7 +15,6 @@ from test_golden import skip_unless_pinned_runtime
 from patchbias import harness
 from patchbias.analysis import histogram, overlay_predictions
 from patchbias.composition import compute_ratios
-from patchbias.errors import ValidationError
 from patchbias.metrics import evaluate
 from patchbias.model import ClassifierSpec, init_params, loss_and_grad, relu_margin
 from patchbias.patchgrid import binary_label, multilabel_vector

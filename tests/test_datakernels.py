@@ -18,9 +18,7 @@ from hypothesis.extra import numpy as hnp
 from patchbias.composition import PatchRatios, compute_ratios, infer_tissue
 from patchbias.patchgrid import PatchGridSpec, binary_label, partition
 from patchbias.synthdata import (
-    MultimodalImage,
     SceneSpec,
-    SegmentationMask,
     TissueClass,
     _class_profile,
     _ellipse_mask,
@@ -245,7 +243,7 @@ def scene_specs(draw):
 def test_infer_tissue_matches_the_channel_max_oracle(case):
     epsilon, pixels, grid = case
     labels = np.zeros(pixels.shape[:2], dtype=np.uint8)
-    patches = partition(MultimodalImage(pixels, "x"), SegmentationMask(labels, "x"), grid)
+    patches = partition(pixels, labels, grid)
     views = [pixels] + [p.pixels for p in patches]
     for view in views:
         got = infer_tissue(view, epsilon)
@@ -266,7 +264,7 @@ def test_infer_tissue_nan_is_never_tissue():
 def test_compute_ratios_and_binary_label_match_the_enum_oracle(mask, h, w):
     grid = PatchGridSpec(min(h, mask.shape[0]), min(w, mask.shape[1]))
     pixels = np.zeros((*mask.shape, 1), dtype=np.float32)
-    patches = partition(MultimodalImage(pixels, "x"), SegmentationMask(mask, "x"), grid)
+    patches = partition(pixels, mask, grid)
     views = [mask] + [p.mask for p in patches]
     for view in views:
         assert compute_ratios(view) == _oracle_compute_ratios(view)
@@ -308,14 +306,14 @@ def test_ellipse_mask_matches_the_mgrid_oracle(height, width, cy, cx, a, b, angl
 def _assert_scene_matches_oracle(spec):
     image, mask, details = generate_scene_details(spec)
     data, labels, blob_masks, blob_params = _oracle_generate_scene_details(spec)
-    assert image.data.dtype == np.float32 and image.data.tobytes() == data.tobytes()
-    assert mask.labels.dtype == np.uint8 and mask.labels.tobytes() == labels.tobytes()
+    assert image.dtype == np.float32 and image.tobytes() == data.tobytes()
+    assert mask.dtype == np.uint8 and mask.tobytes() == labels.tobytes()
     assert len(details["tumor_blob_masks"]) == len(blob_masks)
     assert all(np.array_equal(x, y) for x, y in zip(details["tumor_blob_masks"], blob_masks))
     assert details["tumor_blob_params"] == blob_params
     public_image, public_mask = generate_scene(spec)
-    assert public_image.data.tobytes() == data.tobytes()
-    assert public_mask.labels.tobytes() == labels.tobytes()
+    assert public_image.tobytes() == data.tobytes()
+    assert public_mask.tobytes() == labels.tobytes()
 
 
 @settings(max_examples=60, deadline=None)

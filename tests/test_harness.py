@@ -1,10 +1,10 @@
 """Config handling, pipeline stages, on-disk artifacts, and the CLI front end."""
 
+import builtins
 import csv
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from patchbias import harness, model
@@ -82,6 +82,9 @@ def test_default_config_is_valid():
         (lambda c: c["model"].update(pool_target=3), "model.pool_target: pooled input 2x2 too small"),
         (lambda c: (c["dataset"].update(height=48), c["patch"].update(height=64)), "patch.height .* dataset.height"),
         (lambda c: c["dataset"].update(images=2), "dataset.images: 2 images .* leave split 'val' empty"),
+        # values SceneSpec rejects, which used to fail only inside generate
+        (lambda c: c["dataset"].update(background_intensity_max=0.5), "dataset.background_intensity_max must be <= 0.45"),
+        (lambda c: c["dataset"].update(seed=2**64 - 10), "dataset.seed: scene seeds"),
     ],
 )
 def test_config_validation_names_the_field(mutate, message, tmp_path):
@@ -299,6 +302,8 @@ def test_train_artifacts(tiny_run):
         1 for line in (out / "patches" / "patch_index.jsonl").read_text().splitlines()
         if json.loads(line)["split"] == "test"
     )
+    data_by_tau, _ = harness.build_split_data(cfg, out)
+    _, _, test = next(iter(data_by_tau.values()))  # pixels are shared across thresholds
     for cell in results["cells"]:
         assert len(cell["trials"]) == cfg["train"]["trials"]
         cdir = out / "train" / harness.cell_dir_name(cell["method"], cell["eval_metric"], cell["tau"])
@@ -312,11 +317,17 @@ def test_train_artifacts(tiny_run):
             preds = list(csv.DictReader(tdir.joinpath("test_predictions.csv").open()))
             assert len(preds) == n_test
             assert {p["pred"] for p in preds} <= {"0", "1"}
+            # the float32 checkpoint reproduces the predictions made from the float64 parameters
+            reloaded = model.predict(spec, params, model.pool(spec, test.x))
+            assert reloaded.tolist() == [int(p["pred"]) for p in preds]
 
 
-@pytest.mark.parametrize("failure", ["checkpoint", "predictions"])
+@pytest.mark.parametrize("failure", ["checkpoint", "predictions", "swap"])
 def test_failed_train_write_keeps_the_previous_trial_files(tiny_run, monkeypatch, failure):
     cfg, out = tiny_run
+    # a rerun with another learning rate writes other bytes, so any mix of the two runs shows
+    changed = json.loads(json.dumps(cfg))
+    changed["train"]["lr"] = cfg["train"]["lr"] / 2
     train_dir = out / "train"
 
     def files():
@@ -329,18 +340,32 @@ def test_failed_train_write_keeps_the_previous_trial_files(tiny_run, monkeypatch
             raise OSError("disk full")
 
         monkeypatch.setattr(model, "write_tensor", cut_short)
+    elif failure == "predictions":
+        real_open = builtins.open
+
+        def cut_short_predictions(path, *args, **kwargs):
+            fh = real_open(path, *args, **kwargs)
+            if "test_predictions.csv" in Path(path).name:
+                fh.write("image_id,grid_")  # the header is half out, then the disk fills
+                fh.close()
+                raise OSError("disk full")
+            return fh
+
+        monkeypatch.setattr(builtins, "open", cut_short_predictions)
     else:
         real_replace = harness.os.replace
 
-        def refuse_predictions(src, dst):
-            if Path(dst).name == "test_predictions.csv":
+        def refuse_swap(src, dst):
+            # the new tree may not move in; moving the previous one back is allowed
+            if Path(dst) == train_dir and Path(src).name.endswith(".tmp"):
                 raise OSError("disk full")
             real_replace(src, dst)
 
-        monkeypatch.setattr(harness.os, "replace", refuse_predictions)
+        monkeypatch.setattr(harness.os, "replace", refuse_swap)
     with pytest.raises(OSError, match="disk full"):
-        harness.cmd_train(cfg, out)
+        harness.cmd_train(changed, out)
     assert files() == before
+    assert not [p.name for p in out.iterdir() if p.name.startswith(".train")]
 
 
 def test_gerne_beta_fixed_by_config_skips_tuning(tiny_run):
@@ -441,15 +466,6 @@ def test_cli_generate_and_patchify(tmp_path):
     assert cli_main(["generate", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
     assert cli_main(["patchify", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
     assert (tmp_path / "run" / "patches" / "patch_index.jsonl").exists()
-
-
-def test_cli_tau_override_restricts_the_index(tmp_path):
-    path = _write_config(tmp_path, mini_config())
-    out = str(tmp_path / "run")
-    assert cli_main(["generate", "--config", str(path), "--out", out, "--tau", "0.2"]) == 0
-    assert cli_main(["patchify", "--config", str(path), "--out", out, "--tau", "0.2"]) == 0
-    line = (tmp_path / "run" / "patches" / "patch_index.jsonl").read_text().splitlines()[0]
-    assert set(json.loads(line)["z"]) == {"0.2"}
 
 
 def test_cli_error_paths(tmp_path, capsys):

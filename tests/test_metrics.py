@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patchbias.errors import ValidationError
-from patchbias.metrics import evaluate
+from patchbias.metrics import CountStat, evaluate
 
 # convention everywhere: group id = 2*label + spurious bit
 
@@ -41,8 +41,7 @@ def test_bca_ignores_class_imbalance():
     # class 0: 1000 samples at 0.9, class 1: 10 samples at 0.7
     preds, labels, groups = _case([1000, 0, 10, 0], [900, 0, 7, 0])
     ev = evaluate(preds, labels, groups)
-    assert ev.per_class[0].accuracy == 0.9
-    assert ev.per_class[1].accuracy == 0.7
+    assert ev.per_group_acc() == {0: 0.9, 2: 0.7}  # each class is one group here
     assert ev.bca == pytest.approx(0.8, abs=0)
     # weighted accuracy would be (900 + 7) / 1010, nowhere near 0.8
     assert (900 + 7) / 1010 != ev.bca
@@ -111,9 +110,11 @@ def test_counts_add_up():
     preds, labels, groups = _case([7, 3, 4, 6], [6, 1, 2, 5])
     ev = evaluate(preds, labels, groups)
     assert sum(s.total for s in ev.per_group.values()) == 20
-    assert sum(s.total for s in ev.per_class.values()) == 20
-    assert ev.per_class[0].total == 10 and ev.per_class[1].total == 10
-    assert ev.per_class[0].correct == 7 and ev.per_class[1].correct == 7
+    # groups 0 and 1 hold class 0, groups 2 and 3 class 1
+    for groups_of_class in ((0, 1), (2, 3)):
+        assert sum(ev.per_group[g].total for g in groups_of_class) == 10
+        assert sum(ev.per_group[g].correct for g in groups_of_class) == 7
+    assert ev.bca == (7 / 10 + 7 / 10) / 2
 
 
 def test_input_validation():
@@ -130,12 +131,12 @@ def test_input_validation():
         evaluate(ok, ok, np.array([0, 4]))
 
 
-def test_to_dict_shape():
+def test_empty_groups_and_per_group_counts():
     preds, labels, groups = _case([3, 0, 3, 3], [2, 0, 1, 3])
-    d = evaluate(preds, labels, groups).to_dict()
-    assert set(d) == {"wga", "bca", "per_group", "per_class", "empty_groups"}
-    assert d["empty_groups"] == [1]
-    assert d["per_group"]["0"] == {"correct": 2, "total": 3, "accuracy": round(2 / 3, 4)}
+    ev = evaluate(preds, labels, groups)
+    assert ev.empty_groups == (1,)
+    assert set(ev.per_group) == {0, 2, 3}
+    assert ev.per_group[0] == CountStat(correct=2, total=3)
 
 
 @st.composite
@@ -155,7 +156,6 @@ def test_wga_bounds_every_class_accuracy_and_bca_is_their_mean(case):
     class_acc = [
         int(np.sum(preds[labels == c] == c)) / int(np.sum(labels == c)) for c in (0, 1) if np.any(labels == c)
     ]
-    assert [s.accuracy for s in ev.per_class.values()] == class_acc
     assert all(ev.wga <= acc for acc in class_acc)
     assert ev.bca == sum(class_acc) / len(class_acc)
     assert ev.wga <= ev.bca

@@ -1,9 +1,37 @@
-"""The package's public names."""
+"""The package's public names, and no import left unused."""
+
+import ast
+from pathlib import Path
 
 import patchbias
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_every_exported_name_resolves_and_is_listed_once():
     names = patchbias.__all__
     assert sorted(n for n in set(names) if names.count(n) > 1) == []
     assert [n for n in names if not hasattr(patchbias, n)] == []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module imports but never reads; `__future__` imports do not count."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.relative_to(ROOT)}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    modules = sorted((ROOT / "src" / "patchbias").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    # the package root imports names only to re-export them
+    modules = [m for m in modules if m != ROOT / "src" / "patchbias" / "__init__.py"]
+    assert modules
+    assert [unused for m in modules for unused in _unused_imports(m)] == []

@@ -5,13 +5,13 @@ import pytest
 
 from patchbias.errors import ValidationError
 from patchbias.patchgrid import PatchGridSpec, binary_label, multilabel_vector, partition
-from patchbias.synthdata import MultimodalImage, SceneSpec, SegmentationMask, TissueClass, generate_scene
+from patchbias.synthdata import SceneSpec, TissueClass, generate_scene
 
 
 def _pair(h, w, m=2, seed=0):
     rng = np.random.default_rng(seed)
-    img = MultimodalImage(data=rng.random((h, w, m)).astype(np.float32), image_id="t")
-    mask = SegmentationMask(labels=rng.integers(0, 3, (h, w)).astype(np.uint8), image_id="t")
+    img = rng.random((h, w, m)).astype(np.float32)
+    mask = rng.integers(0, 3, (h, w)).astype(np.uint8)
     return img, mask
 
 
@@ -25,8 +25,8 @@ def test_partition_identity_case():
     img, mask = _pair(100, 100)
     patches = partition(img, mask, PatchGridSpec(100, 100))
     assert len(patches) == 1
-    assert np.array_equal(patches[0].pixels, img.data)
-    assert np.array_equal(patches[0].mask, mask.labels)
+    assert np.array_equal(patches[0].pixels, img)
+    assert np.array_equal(patches[0].mask, mask)
 
 
 def test_partition_drops_partial_border():
@@ -47,7 +47,7 @@ def test_partition_row_major_disjoint_tiling():
         seen[p.grid_row * 32 : p.grid_row * 32 + 32, p.grid_col * 32 : p.grid_col * 32 + 32] += 1
     assert np.all(seen == 1)
     for p in patches:
-        sub = mask.labels[p.grid_row * 32 : p.grid_row * 32 + 32, p.grid_col * 32 : p.grid_col * 32 + 32]
+        sub = mask[p.grid_row * 32 : p.grid_row * 32 + 32, p.grid_col * 32 : p.grid_col * 32 + 32]
         assert np.array_equal(p.mask, sub)
 
 
@@ -63,8 +63,8 @@ def test_partition_rejects_oversized_patch_and_mismatched_mask():
 def test_patch_views_alias_source_arrays():
     img, mask = _pair(64, 64)
     patch = partition(img, mask, PatchGridSpec(32, 32))[0]
-    assert np.shares_memory(patch.pixels, img.data)
-    assert np.shares_memory(patch.mask, mask.labels)
+    assert np.shares_memory(patch.pixels, img)
+    assert np.shares_memory(patch.mask, mask)
 
 
 def test_binary_label_trivial_cases():

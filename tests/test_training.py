@@ -345,20 +345,29 @@ def test_run_experiment_checks_groups_at_every_threshold_before_training(monkeyp
 
 @pytest.mark.parametrize("beta, trajectories", [(None, 10), (0.5, 6)])
 def test_run_experiment_trains_each_trajectory_once(monkeypatch, beta, trajectories):
-    calls = []
-    real = training.train_history
+    calls, selected = [], []
+    real_train, real_select = training.train_history, training.select_checkpoint
 
     def counted(*args, **kwargs):
         calls.append((args[1], kwargs["seed"], kwargs.get("beta")))
-        return real(*args, **kwargs)
+        return real_train(*args, **kwargs)
+
+    def counted_select(history, val, eval_metric):
+        selected.append(history)
+        return real_select(history, val, eval_metric)
 
     monkeypatch.setattr(training, "train_history", counted)
+    monkeypatch.setattr(training, "select_checkpoint", counted_select)
     config = _experiment_config(trials=2, beta=beta, beta_grid=(-0.5, 0.0, 1.0))
     report = run_experiment(SPEC, _two_thresholds(), config)
     # ERM once per seed for every threshold; per threshold, the grid at the first
     # seed (its winner is trial 0) plus the other seed, or one run per seed
     assert len(calls) == trajectories
     assert sorted(seed for method, seed, _ in calls if method == "erm") == [3, 4]
+    # the two ERM trajectories are selected once per (row, threshold), and every
+    # GERNE trajectory exactly once, the winning grid entry included
+    assert len(selected) == {None: 16, 0.5: 12}[beta]
+    assert len({id(h) for h in selected}) == trajectories
     for tau in (0.1, 0.03):
         cell = report.cell("gerne", "wga", tau)
         assert [t.seed for t in cell.outcomes] == [3, 4]
