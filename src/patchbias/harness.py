@@ -34,6 +34,7 @@ from .atomicio import atomic_dir, atomic_path, write_atomic
 from .composition import assign_group, binarize_spurious, compute_ratios, infer_tissue
 from .errors import ValidationError, is_int, is_number
 from .model import ClassifierSpec, save_checkpoint
+from .parallel import pool_size
 from .patchgrid import PatchGridSpec, binary_label, partition
 from .records import PatchRecord, read_patch_index, tau_key, write_patch_index
 from .synthdata import (
@@ -245,7 +246,10 @@ def resolve_out_root(config: dict, override: str | None = None) -> Path:
     return Path(config["out_root"])
 
 
-def _update_run_manifest(out_root: Path, config: dict, stage: str, artifacts: dict, seconds: float) -> None:
+def _update_run_manifest(
+    out_root: Path, config: dict, stage: str, artifacts: dict, seconds: float, workers: int = 1
+) -> None:
+    """Record a finished stage: when, how long, on how many processes, and what it wrote."""
     path = out_root / "run_manifest.json"
     doc = json.loads(path.read_text()) if path.exists() else {"stages": {}}
     doc["config_hash"] = config_hash(config)
@@ -256,6 +260,7 @@ def _update_run_manifest(out_root: Path, config: dict, stage: str, artifacts: di
     doc["stages"][stage] = {
         "completed_utc": datetime.now(timezone.utc).isoformat(),
         "seconds": round(seconds, 3),
+        "workers": workers,
         "artifacts": artifacts,
     }
     write_atomic(path, json.dumps(doc, indent=2, sort_keys=True))
@@ -314,7 +319,7 @@ def cmd_generate(config: dict, out_root: Path) -> Path:
     _update_run_manifest(
         out_root, config, "generate",
         {"dataset_manifest": "dataset/manifest.json"},
-        time.monotonic() - started,
+        time.monotonic() - started, pool_size(len(specs)),
     )
     print(f"generated {len(specs)} images under {dataset_dir}")
     return dataset_dir
@@ -577,7 +582,7 @@ def cmd_train(config: dict, out_root: Path) -> RunReport:
         }
         (staged / "results.json").write_text(json.dumps(results, indent=2, sort_keys=True), encoding="utf-8")
     artifacts["results"] = "train/results.json"
-    _update_run_manifest(out_root, config, "train", artifacts, time.monotonic() - started)
+    _update_run_manifest(out_root, config, "train", artifacts, time.monotonic() - started, report.workers)
     for cell in report.cells:
         print(
             f"{cell.row_label} tau={tau_key(cell.tau)}: "

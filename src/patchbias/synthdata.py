@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
+from .parallel import run_jobs
 from .tensorio import read_tensor, write_tensor
 
 SPLITS = ("train", "val", "test")
@@ -345,19 +346,24 @@ def generate_corpus(
     ])
 
 
+def _render(state: tuple[list[ManifestEntry], Path], i: int) -> ManifestEntry:
+    """Render scene i, write its pixels and mask under `out`, and return its entry with both paths."""
+    entries, out = state
+    entry = entries[i]
+    data, labels = generate_scene(entry.spec)
+    image_rel = f"images/{entry.image_id}.pbt"
+    mask_rel = f"masks/{entry.image_id}.pbt"
+    write_tensor(out / image_rel, data)
+    write_tensor(out / mask_rel, labels)
+    return replace(entry, image_path=image_rel, mask_path=mask_rel)
+
+
 def materialize(manifest: DatasetManifest, out_dir: str | Path) -> DatasetManifest:
-    """Render every scene to PBTENSR1 files under `out_dir` and save the manifest."""
+    """Render every scene to PBTENSR1 files under `out_dir`, one job per scene, and save the manifest."""
     out = Path(out_dir)
     (out / "images").mkdir(parents=True, exist_ok=True)
     (out / "masks").mkdir(parents=True, exist_ok=True)
-    entries = []
-    for entry in manifest.entries:
-        data, labels = generate_scene(entry.spec)
-        image_rel = f"images/{entry.image_id}.pbt"
-        mask_rel = f"masks/{entry.image_id}.pbt"
-        write_tensor(out / image_rel, data)
-        write_tensor(out / mask_rel, labels)
-        entries.append(replace(entry, image_path=image_rel, mask_path=mask_rel))
+    entries = run_jobs(_render, (manifest.entries, out), len(manifest.entries))
     result = DatasetManifest(entries=entries)
     result.save(out / "manifest.json")
     return result

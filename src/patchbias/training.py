@@ -18,7 +18,10 @@ epoch. The thresholds share the patch and label arrays and differ only in
 group ids, which ERM never reads, so one ERM trajectory per seed serves every
 threshold and both selection metrics. Each threshold runs every entry of the
 beta grid (a fixed beta is a one-point grid) at the first seed, picks beta by
-validation score, and keeps the chosen run's outcome as its first trial.
+validation score, and keeps the chosen run's outcome as its first trial; the
+other grid entries are never scored on test. Each trajectory, with its
+selection, is one job of `parallel.run_jobs`, so the trajectories run on every
+usable core and give the same bytes as one process would.
 
 Pooling is the model's fixed first layer, so every entry point pools a split
 once (`model.pool`) and then indexes the pooled arrays: a trajectory pools
@@ -30,12 +33,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
+from typing import Any, Callable
 
 import numpy as np
 
 from .errors import NonFiniteGradientError, ValidationError, is_int, is_number
 from .metrics import N_GROUPS, EvalResult, evaluate
 from .model import ClassifierSpec, init_params, loss_and_grad, pool, predict
+from .parallel import pool_size, run_jobs
 from .sampler import GroupedDataset, draw_biased, draw_erm, draw_less_biased, erm_steps_per_epoch
 
 METHOD_ERM = "erm"
@@ -316,16 +322,20 @@ def select_checkpoint(
     return best, log
 
 
+def _score_on_test(
+    spec: ClassifierSpec, checkpoint: Checkpoint, log: list[EpochRecord], test: SplitData
+) -> TrialOutcome:
+    preds = _predict_split(spec, checkpoint.params, test.pooled(spec))
+    test_eval = evaluate(preds, test.y, test.groups)
+    return TrialOutcome(seed=spec.seed, checkpoint=checkpoint, log=log, test_eval=test_eval, test_preds=preds)
+
+
 def evaluate_outcome(
     history: History, val: SplitData, test: SplitData, eval_metric: str
 ) -> TrialOutcome:
+    """Select a checkpoint on validation and score it on test."""
     checkpoint, log = select_checkpoint(history, val, eval_metric)
-    preds = _predict_split(history.spec, checkpoint.params, test.pooled(history.spec))
-    test_eval = evaluate(preds, test.y, test.groups)
-    return TrialOutcome(
-        seed=history.spec.seed, checkpoint=checkpoint,
-        log=log, test_eval=test_eval, test_preds=preds,
-    )
+    return _score_on_test(history.spec, checkpoint, log, test)
 
 
 @dataclass
@@ -387,6 +397,7 @@ def _sample_std(xs: list[float]) -> float:
 @dataclass
 class RunReport:
     cells: list[CellReport]
+    workers: int = 1  # the most processes that trained at once
 
     def cell(self, method: str, eval_metric: str, tau: float) -> CellReport:
         for c in self.cells:
@@ -429,37 +440,74 @@ def run_experiment(
             )
 
     pooled = [pool(model_spec, s.x) for s in shared]
+    pooled_by_tau = {
+        tau: tuple(replace(s, x=x) for s, x in zip(splits, pooled)) for tau, splits in data_by_tau.items()
+    }
     seeds = [config.seed + i for i in range(config.trials)]
     sgd = dict(epochs=config.epochs, batch_size=config.batch_size, lr=config.lr, momentum=config.momentum)
     erm_train = replace(shared[0], x=pooled[0])
-    erm = [train_history(model_spec, METHOD_ERM, erm_train, seed=seed, **sgd) for seed in seeds]
-
+    erm_metrics = [metric for method, metric in ROWS if method == METHOD_ERM]
+    gerne_cells = [(tau, metric) for tau in pooled_by_tau for method, metric in ROWS if method == METHOD_GERNE]
     # a fixed beta is a one-point grid; a repeated grid entry names the same
     # trajectory, so it trains once
     grid = [config.beta] if config.beta is not None else list(dict.fromkeys(config.beta_grid))
+
+    def erm_job(seed: int) -> list[TrialOutcome]:
+        # ERM never reads group ids, so one trajectory serves every threshold and ERM row
+        history = train_history(model_spec, METHOD_ERM, erm_train, seed=seed, **sgd)
+        return [
+            evaluate_outcome(history, val, test, metric)
+            for _, val, test in pooled_by_tau.values() for metric in erm_metrics
+        ]
+
+    def gerne_history(tau: float, seed: int, beta: float) -> History:
+        return train_history(model_spec, METHOD_GERNE, pooled_by_tau[tau][0], seed=seed, beta=beta, **sgd)
+
+    def grid_job(tau: float, metric: str, beta: float) -> tuple[ClassifierSpec, Checkpoint, list[EpochRecord]]:
+        # validation only: the test split is predicted for the winning entry alone
+        history = gerne_history(tau, seeds[0], beta)
+        return (history.spec, *select_checkpoint(history, pooled_by_tau[tau][1], metric))
+
+    def trial_job(tau: float, metric: str, beta: float, seed: int) -> TrialOutcome:
+        _, val, test = pooled_by_tau[tau]
+        return evaluate_outcome(gerne_history(tau, seed, beta), val, test, metric)
+
+    # every job is a pure function of its arguments, so two batches run on a
+    # process pool: the ERM seeds and every beta grid, then the remaining seeds
+    # at each chosen beta; results come back in plan order
+    first = [partial(erm_job, seed) for seed in seeds]
+    first += [partial(grid_job, tau, metric, beta) for tau, metric in gerne_cells for beta in grid]
+    done = run_jobs(_call, first, len(first))
+    erm_outcomes = iter(zip(*done[: len(seeds)]))
+    tuning = iter(done[len(seeds) :])
+    tuned = {}
+    for tau, metric in gerne_cells:
+        entries = [next(tuning) for _ in grid]
+        scores = [checkpoint.val_wga for _, checkpoint, _ in entries]
+        best = scores.index(max(scores))  # a tie keeps the earlier grid entry
+        beta_scores = dict(zip(grid, scores)) if config.beta is None else {}
+        # the winner's outcome is trial 0; the other entries are never tested
+        tuned[tau, metric] = grid[best], beta_scores, _score_on_test(*entries[best], pooled_by_tau[tau][2])
+    second = [
+        partial(trial_job, tau, metric, tuned[tau, metric][0], seed)
+        for tau, metric in gerne_cells for seed in seeds[1:]
+    ]
+    trials = iter(run_jobs(_call, second, len(second)))
+
     cells: list[CellReport] = []
-    for tau, splits in data_by_tau.items():
-        train, val, test = (replace(s, x=x) for s, x in zip(splits, pooled))
-
-        def gerne(seed: int, beta: float, metric: str) -> TrialOutcome:
-            history = train_history(model_spec, METHOD_GERNE, train, seed=seed, beta=beta, **sgd)
-            return evaluate_outcome(history, val, test, metric)
-
+    for tau in pooled_by_tau:
         for method, metric in ROWS:
             if method == METHOD_ERM:
-                beta, beta_scores = None, {}
-                outcomes = [evaluate_outcome(h, val, test, metric) for h in erm]
+                beta, beta_scores, outcomes = None, {}, list(next(erm_outcomes))
             else:
-                # every grid entry runs at the first seed and is scored on validation;
-                # the winner's outcome is trial 0 and the others' test results are dropped
-                tuned = [gerne(seeds[0], b, metric) for b in grid]
-                scores = [o.checkpoint.val_wga for o in tuned]
-                best = scores.index(max(scores))  # a tie keeps the earlier grid entry
-                beta = grid[best]
-                beta_scores = dict(zip(grid, scores)) if config.beta is None else {}
-                outcomes = [tuned[best]] + [gerne(seed, beta, metric) for seed in seeds[1:]]
+                beta, beta_scores, trial0 = tuned[tau, metric]
+                outcomes = [trial0] + [next(trials) for _ in seeds[1:]]
             cells.append(CellReport(
                 method=method, eval_metric=metric, tau=tau, beta=beta, beta_scores=beta_scores,
                 outcomes=outcomes,
             ))
-    return RunReport(cells=cells)
+    return RunReport(cells=cells, workers=pool_size(len(first)))
+
+
+def _call(jobs: list[Callable[[], Any]], i: int) -> Any:
+    return jobs[i]()

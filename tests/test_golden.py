@@ -8,6 +8,9 @@ run time changes float rounding); elsewhere that test skips. The data stages
 (generate, patchify, analyze) make no BLAS call, so their hashes depend on
 the numpy version alone.
 
+Each hash is checked on a run with one worker and on a run with two, and the
+two runs must write the same bytes on any runtime.
+
 To regenerate on purpose, after a change that is meant to move results: run
 this config through ``harness.run_pipeline``, take sha256 of
 ``train/results.json`` and ``report/final_table.csv``, replace RESULTS_SHA256
@@ -24,7 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from patchbias import harness
+from patchbias import harness, parallel
 
 NUMPY_VERSION = "2.4.6"
 OPENBLAS_CONFIG = "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY SkylakeX MAX_THREADS=64"
@@ -78,15 +81,40 @@ def test_pinned_config_pools_its_patches():
     assert harness.model_spec_from_config(_pinned_config()).pool_factor == 2
 
 
-def test_small_run_matches_pinned_hashes(tmp_path):
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory) -> dict[int, Path]:
+    """The pinned config run end to end on one worker and on two, by worker count."""
+    roots = {}
+    for workers in (1, 2):
+        root = tmp_path_factory.mktemp(f"workers{workers}")
+        with pytest.MonkeyPatch.context() as patch, redirect_stdout(io.StringIO()):
+            patch.setattr(parallel, "worker_count", lambda: workers)
+            harness.run_pipeline(_pinned_config(), root)
+        roots[workers] = root
+    return roots
+
+
+def test_small_run_matches_pinned_hashes(runs):
     skip_unless_pinned_runtime()
-    with redirect_stdout(io.StringIO()):
-        harness.run_pipeline(_pinned_config(), tmp_path)
-    digest = {
-        rel: hashlib.sha256((tmp_path / rel).read_bytes()).hexdigest()
-        for rel in ("train/results.json", "report/final_table.csv")
-    }
-    assert digest == {"train/results.json": RESULTS_SHA256, "report/final_table.csv": TABLE_SHA256}
+    for root in runs.values():
+        digest = {
+            rel: hashlib.sha256((root / rel).read_bytes()).hexdigest()
+            for rel in ("train/results.json", "report/final_table.csv")
+        }
+        assert digest == {"train/results.json": RESULTS_SHA256, "report/final_table.csv": TABLE_SHA256}
+
+
+def test_one_and_two_workers_write_the_same_bytes(runs):
+    """On any runtime: every artifact but the timing manifest, byte for byte."""
+    def files(root: Path) -> dict[str, bytes]:
+        return {
+            str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file() and p.name != "run_manifest.json"
+        }
+
+    one, two = files(runs[1]), files(runs[2])
+    assert one.keys() == two.keys()
+    assert [rel for rel in one if one[rel] != two[rel]] == []
 
 
 def _data_digests(out: Path) -> dict[str, str]:
@@ -105,12 +133,8 @@ def _data_digests(out: Path) -> dict[str, str]:
     return digest
 
 
-def test_data_stages_match_pinned_hashes(tmp_path):
+def test_data_stages_match_pinned_hashes(runs):
     if np.__version__ != NUMPY_VERSION:
         pytest.skip(f"data hashes are pinned for numpy {NUMPY_VERSION}, this is numpy {np.__version__}")
-    config = _pinned_config()
-    with redirect_stdout(io.StringIO()):
-        harness.cmd_generate(config, tmp_path)
-        harness.cmd_patchify(config, tmp_path)
-        harness.cmd_analyze(config, tmp_path)
-    assert _data_digests(tmp_path) == DATA_SHA256
+    for root in runs.values():
+        assert _data_digests(root) == DATA_SHA256

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from patchbias import harness, model
+from patchbias import harness, model, parallel
 from patchbias.cli import main as cli_main
 from patchbias.errors import ValidationError
 from patchbias.model import load_checkpoint
@@ -345,7 +345,8 @@ def test_failed_train_write_keeps_the_previous_trial_files(tiny_run, monkeypatch
 
         def cut_short_predictions(path, *args, **kwargs):
             fh = real_open(path, *args, **kwargs)
-            if "test_predictions.csv" in Path(path).name:
+            # a process pool opens file descriptors (ints) here too; only paths are checked
+            if isinstance(path, (str, Path)) and "test_predictions.csv" in Path(path).name:
                 fh.write("image_id,grid_")  # the header is half out, then the disk fills
                 fh.close()
                 raise OSError("disk full")
@@ -396,6 +397,14 @@ def test_run_manifest_tracks_every_stage(tiny_run):
     for stage in doc["stages"].values():
         for rel in stage["artifacts"].values():
             assert (out / rel).exists()
+    # only generate (a job per scene) and train run jobs on a process pool; the
+    # train stage's largest batch is its ERM seeds plus a one-point grid per threshold
+    assert {name: stage["workers"] for name, stage in doc["stages"].items()} == {
+        "generate": parallel.pool_size(cfg["dataset"]["images"]),
+        "patchify": 1, "analyze": 1,
+        "train": parallel.pool_size(cfg["train"]["trials"] + len(cfg["patch"]["taus"])),
+        "report": 1,
+    }
 
 
 def test_results_json_has_no_timings(tiny_run):

@@ -5,7 +5,7 @@ import pytest
 
 from patchbias.errors import NonFiniteGradientError, ValidationError
 from patchbias.model import ClassifierSpec, init_params, param_views
-from patchbias import training
+from patchbias import parallel, training
 from patchbias.training import (
     History,
     SplitData,
@@ -345,8 +345,12 @@ def test_run_experiment_checks_groups_at_every_threshold_before_training(monkeyp
 
 @pytest.mark.parametrize("beta, trajectories", [(None, 10), (0.5, 6)])
 def test_run_experiment_trains_each_trajectory_once(monkeypatch, beta, trajectories):
-    calls, selected = [], []
-    real_train, real_select = training.train_history, training.select_checkpoint
+    calls, selected, tested = [], [], []
+    real_train, real_select, real_predict = (
+        training.train_history, training.select_checkpoint, training._predict_split
+    )
+    data = _two_thresholds()
+    test_labels = data[0.1][2].y  # the thresholds share it
 
     def counted(*args, **kwargs):
         calls.append((args[1], kwargs["seed"], kwargs.get("beta")))
@@ -356,10 +360,18 @@ def test_run_experiment_trains_each_trajectory_once(monkeypatch, beta, trajector
         selected.append(history)
         return real_select(history, val, eval_metric)
 
+    def counted_predict(spec, params, split):
+        if split.y is test_labels:
+            tested.append(params)
+        return real_predict(spec, params, split)
+
+    # the counters live in this process, so every job must run here
+    monkeypatch.setattr(parallel, "worker_count", lambda: 1)
     monkeypatch.setattr(training, "train_history", counted)
     monkeypatch.setattr(training, "select_checkpoint", counted_select)
+    monkeypatch.setattr(training, "_predict_split", counted_predict)
     config = _experiment_config(trials=2, beta=beta, beta_grid=(-0.5, 0.0, 1.0))
-    report = run_experiment(SPEC, _two_thresholds(), config)
+    report = run_experiment(SPEC, data, config)
     # ERM once per seed for every threshold; per threshold, the grid at the first
     # seed (its winner is trial 0) plus the other seed, or one run per seed
     assert len(calls) == trajectories
@@ -368,6 +380,9 @@ def test_run_experiment_trains_each_trajectory_once(monkeypatch, beta, trajector
     # GERNE trajectory exactly once, the winning grid entry included
     assert len(selected) == {None: 16, 0.5: 12}[beta]
     assert len({id(h) for h in selected}) == trajectories
+    # the test split is predicted once for each outcome in a cell (6 cells x 2
+    # trials), never for a losing grid entry
+    assert len(tested) == 12
     for tau in (0.1, 0.03):
         cell = report.cell("gerne", "wga", tau)
         assert [t.seed for t in cell.outcomes] == [3, 4]
