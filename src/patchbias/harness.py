@@ -293,28 +293,54 @@ def scene_specs_from_config(dataset_cfg: dict) -> list[SceneSpec]:
     return specs
 
 
+def _dataset_hash(config: dict) -> str:
+    return hashlib.sha256(_canonical(config["dataset"]).encode()).hexdigest()
+
+
+def _generated_manifest(config: dict, dataset_dir: Path) -> DatasetManifest:
+    """The dataset manifest, once generate has finished for this config's dataset section.
+
+    generate deletes its marker before it renders and writes it last, so
+    without a matching marker the scenes may be partial or from another section.
+    """
+    manifest_path = dataset_dir / "manifest.json"
+    if not manifest_path.exists():
+        raise ValidationError(f"dataset manifest not found: {manifest_path}; run generate first")
+    marker_path = dataset_dir / "generate.json"
+    try:
+        stamped = json.loads(marker_path.read_text())["dataset_hash"]
+    except (OSError, ValueError, TypeError, KeyError):  # missing, or not a marker generate wrote
+        stamped = None
+    if stamped != _dataset_hash(config):
+        raise ValidationError(
+            f"the dataset under {dataset_dir} was not generated from this config's dataset section "
+            f"({marker_path} is missing or names another); run generate first"
+        )
+    return DatasetManifest.load(manifest_path)
+
+
 def cmd_generate(config: dict, out_root: Path) -> Path:
     """Materialize the corpus; a rerun with the same dataset section skips."""
     validate_config(config)
     started = time.monotonic()
     dataset_dir = out_root / "dataset"
+    try:
+        missing = _missing_dataset_files(_generated_manifest(config, dataset_dir), dataset_dir)
+    except ValidationError:  # not generated, interrupted, or from another dataset section
+        missing = None
+    if missing == []:
+        print(f"dataset already generated under {dataset_dir}, skipping")
+        return dataset_dir
+    if missing:
+        print(f"dataset under {dataset_dir} is missing {len(missing)} files, regenerating")
     marker_path = dataset_dir / "generate.json"
-    section_hash = hashlib.sha256(_canonical(config["dataset"]).encode()).hexdigest()
-    if marker_path.exists() and (dataset_dir / "manifest.json").exists():
-        marker = json.loads(marker_path.read_text())
-        if marker.get("dataset_hash") == section_hash:
-            missing = _missing_dataset_files(DatasetManifest.load(dataset_dir / "manifest.json"), dataset_dir)
-            if not missing:
-                print(f"dataset already generated under {dataset_dir}, skipping")
-                return dataset_dir
-            print(f"dataset under {dataset_dir} is missing {len(missing)} files, regenerating")
     # an interrupted run must not leave a marker that vouches for partial files
     marker_path.unlink(missing_ok=True)
     specs = scene_specs_from_config(config["dataset"])
     manifest = generate_corpus(specs, tuple(config["dataset"]["split_fractions"]))
     materialize(manifest, dataset_dir)
     write_atomic(marker_path, json.dumps(
-        {"dataset_hash": section_hash, "images": len(specs)}, indent=2, sort_keys=True
+        {"dataset_hash": _dataset_hash(config), "images": len(specs)}, indent=2, sort_keys=True
     ))
     _update_run_manifest(
         out_root, config, "generate",
@@ -376,10 +402,7 @@ def cmd_patchify(config: dict, out_root: Path) -> Path:
     validate_config(config)
     started = time.monotonic()
     dataset_dir = out_root / "dataset"
-    manifest_path = dataset_dir / "manifest.json"
-    if not manifest_path.exists():
-        raise ValidationError(f"dataset manifest not found: {manifest_path}; run generate first")
-    manifest = DatasetManifest.load(manifest_path)
+    manifest = _generated_manifest(config, dataset_dir)
     patches_dir = out_root / "patches"
     patches_dir.mkdir(parents=True, exist_ok=True)
     index_path = patches_dir / "patch_index.jsonl"
@@ -482,10 +505,7 @@ def build_split_data(
     ids differ.
     """
     dataset_dir = out_root / "dataset"
-    manifest_path = dataset_dir / "manifest.json"
-    if not manifest_path.exists():
-        raise ValidationError(f"dataset manifest not found: {manifest_path}; run generate first")
-    manifest = DatasetManifest.load(manifest_path)
+    manifest = _generated_manifest(config, dataset_dir)
     index_path = out_root / "patches" / "patch_index.jsonl"
     stored = read_patch_index(index_path)
     taus = config["patch"]["taus"]

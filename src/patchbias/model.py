@@ -6,11 +6,10 @@ affine head with two logits. The parameters are one flat float64 array,
 laid out by `param_layout(spec)` and read through `param_views`, so
 optimizer updates and gradient checks stay simple and exact.
 
-The pooling layer has no parameters, so training pools each split once with
-`pool` and feeds the pooled float64 arrays to every step and prediction.
-`forward`, `loss_and_grad` and `predict` accept a batch in either the raw
-(B, H, W, C) shape, which they pool, or the pooled (B, H/f, W/f, C) shape,
-which they use as is.
+The pooling layer has no parameters, so it is not part of the kernel:
+`pool` turns raw (B, H, W, C) patches into the pooled (B, H/f, W/f, C)
+float64 input once per split, and `forward`, `loss_and_grad`, `predict` and
+`relu_margin` take only that pooled shape.
 
 Each convolution is one copy and one 2-D matmul: `_im2col` copies the
 stride-2 windows into a (B*Ho*Wo, 9*C) matrix (rows in (b, i, j) order,
@@ -127,10 +126,18 @@ def pool(spec: ClassifierSpec, x: np.ndarray) -> np.ndarray:
 
     Rows and columns past the last whole f x f window are dropped. A batch
     already in the pooled shape is only upcast (returned as is when it is
-    float64), so pooling twice is pooling once.
+    float64), so pooling twice is pooling once. With pool factor 1 the two
+    shapes coincide and the batch counts as pooled.
     """
-    if _check_batch(spec, x) == "pooled":
+    raw = (spec.input_height, spec.input_width, spec.channels)
+    pooled = (*spec.pooled_shape, spec.channels)
+    if x.ndim == 4 and x.shape[1:] == pooled:
         return np.asarray(x, dtype=np.float64)
+    if x.ndim != 4 or x.shape[1:] != raw:
+        raise ValidationError(
+            f"batch shape {x.shape} matches neither the raw spec input (B, {', '.join(map(str, raw))}) "
+            f"nor the pooled input (B, {', '.join(map(str, pooled))})"
+        )
     f = spec.pool_factor
     hp, wp = spec.pooled_shape
     out = np.empty((x.shape[0], hp, wp, spec.channels), dtype=np.float64)
@@ -187,25 +194,15 @@ def _col2im(dcols: np.ndarray, x_shape: tuple[int, ...]) -> np.ndarray:
     return dx
 
 
-def _check_batch(spec: ClassifierSpec, batch: np.ndarray) -> str:
-    """"pooled" or "raw", whichever the batch shape matches; anything else raises.
-
-    With pool factor 1 the two shapes coincide and the batch counts as pooled.
-    """
-    raw = (spec.input_height, spec.input_width, spec.channels)
-    pooled = (*spec.pooled_shape, spec.channels)
-    if batch.ndim == 4 and batch.shape[1:] == pooled:
-        return "pooled"
-    if batch.ndim == 4 and batch.shape[1:] == raw:
-        return "raw"
-    raise ValidationError(
-        f"batch shape {batch.shape} matches neither the raw spec input (B, {', '.join(map(str, raw))}) "
-        f"nor the pooled input (B, {', '.join(map(str, pooled))})"
-    )
-
-
 def _forward_cached(spec: ClassifierSpec, params: np.ndarray, batch: np.ndarray) -> dict:
-    x = pool(spec, batch)
+    pooled = (*spec.pooled_shape, spec.channels)
+    if batch.ndim != 4 or batch.shape[1:] != pooled:
+        raise ValidationError(
+            f"batch shape {batch.shape} is not the pooled model input (B, {', '.join(map(str, pooled))}); "
+            "pool raw patches with model.pool first"
+        )
+    # a float32 batch gives other bits in the matmuls than its float64 upcast
+    x = np.asarray(batch, dtype=np.float64)
     p = param_views(spec, params)
     cols1 = _im2col(x)
     z1 = cols1 @ p["conv1_w"].reshape(-1, spec.k1)
@@ -224,7 +221,7 @@ def _forward_cached(spec: ClassifierSpec, params: np.ndarray, batch: np.ndarray)
 
 
 def forward(spec: ClassifierSpec, params: np.ndarray, batch: np.ndarray) -> np.ndarray:
-    """Logits (B, 2) for a batch of raw or pooled patches."""
+    """Logits (B, 2) for a batch of pooled patches."""
     return _forward_cached(spec, params, batch)["logits"]
 
 

@@ -1,12 +1,12 @@
 """Run independent jobs on every usable core, with the calling process as worker 0.
 
-`run_jobs(fn, state, n)` returns `[fn(state, i) for i in range(n)]`. With more
-than one usable core and more than one job, it forks helper processes. They
-inherit `state` without pickling it, so large arrays are shared copy-on-write,
-and they send back only their results. The caller runs job 0 itself and then,
-like every helper, takes the next unclaimed job until none is left. Each job
-must be a pure function of (state, i); results come back in index order, so
-they are the same bytes as the serial loop's.
+`run_jobs(jobs)` returns `[job() for job in jobs]` for a list of zero-argument
+callables. With more than one usable core and more than one job, it forks
+helper processes. They inherit the jobs and what they refer to without
+pickling, so large arrays are shared copy-on-write, and they send back only
+their results. The caller runs job 0 itself and then, like every helper,
+takes the next unclaimed job until none is left. Each job must be pure;
+results come back in list order, so they are the same bytes as the serial loop's.
 
 While helpers run, OpenBLAS runs one thread per process, so N processes do
 not oversubscribe N cores. One BLAS thread gives the same bits. Where no
@@ -57,20 +57,20 @@ def pool_size(n: int) -> int:
     return workers if workers > 1 and _blas_threads() is not None else 1
 
 
-def run_jobs(fn: Callable[[Any, int], Any], state: Any, n: int) -> list:
-    """`[fn(state, i) for i in range(n)]`, spread over `pool_size(n)` processes.
+def run_jobs(jobs: list[Callable[[], Any]]) -> list:
+    """`[job() for job in jobs]`, spread over `pool_size(len(jobs))` processes.
 
     An error in any job is raised here with its type and message; pending
     jobs are cancelled, and every helper has exited before this returns or raises.
     """
-    workers = pool_size(n)
+    workers = pool_size(len(jobs))
     if workers == 1:
-        return [fn(state, i) for i in range(n)]
+        return [job() for job in jobs]
     get_threads, set_threads = _blas_threads()
     saved = get_threads()
     set_threads(1)
     try:
-        return _run_forked(fn, state, n, workers)
+        return _run_forked(jobs, workers)
     finally:
         set_threads(saved)
 
@@ -91,10 +91,11 @@ def _failure(i: int, exc: BaseException) -> bytes:
         return pickle.dumps((i, None, RuntimeError(f"{type(exc).__name__}: {exc}"), text))
 
 
-def _run_forked(fn, state, n: int, workers: int) -> list:
+def _run_forked(jobs: list[Callable[[], Any]], workers: int) -> list:
     import multiprocessing
     import queue
 
+    n = len(jobs)
     ctx = multiprocessing.get_context("fork")
     next_job = ctx.Value("q", 1)  # job 0 is the caller's
     results = ctx.Queue()
@@ -110,7 +111,7 @@ def _run_forked(fn, state, n: int, workers: int) -> list:
     def helper() -> None:
         while (i := claim()) is not None:
             try:
-                results.put(pickle.dumps((i, fn(state, i), None, None)))
+                results.put(pickle.dumps((i, jobs[i](), None, None)))
             except BaseException as exc:  # an interrupt too: the caller raises it
                 results.put(_failure(i, exc))
                 return
@@ -132,7 +133,7 @@ def _run_forked(fn, state, n: int, workers: int) -> list:
             p.start()
         i = 0
         while i is not None:
-            out[i] = fn(state, i)
+            out[i] = jobs[i]()
             pending -= 1
             while True:  # take what the helpers finished meanwhile, so an error stops the run early
                 try:

@@ -12,6 +12,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -272,19 +273,8 @@ class DatasetManifest:
     entries: list[ManifestEntry] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "format": "patchbias-dataset-manifest-v1",
-            "images": [
-                {
-                    "image_id": e.image_id,
-                    "split": e.split,
-                    "spec": vars(e.spec).copy(),
-                    "image_path": e.image_path,
-                    "mask_path": e.mask_path,
-                }
-                for e in self.entries
-            ],
-        }
+        images = [{**vars(e), "spec": vars(e.spec).copy()} for e in self.entries]
+        return {"format": "patchbias-dataset-manifest-v1", "images": images}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DatasetManifest":
@@ -346,10 +336,8 @@ def generate_corpus(
     ])
 
 
-def _render(state: tuple[list[ManifestEntry], Path], i: int) -> ManifestEntry:
-    """Render scene i, write its pixels and mask under `out`, and return its entry with both paths."""
-    entries, out = state
-    entry = entries[i]
+def _render(entry: ManifestEntry, out: Path) -> ManifestEntry:
+    """Render one scene, write its pixels and mask under `out`, and return its entry with both paths."""
     data, labels = generate_scene(entry.spec)
     image_rel = f"images/{entry.image_id}.pbt"
     mask_rel = f"masks/{entry.image_id}.pbt"
@@ -363,7 +351,7 @@ def materialize(manifest: DatasetManifest, out_dir: str | Path) -> DatasetManife
     out = Path(out_dir)
     (out / "images").mkdir(parents=True, exist_ok=True)
     (out / "masks").mkdir(parents=True, exist_ok=True)
-    entries = run_jobs(_render, (manifest.entries, out), len(manifest.entries))
+    entries = run_jobs([partial(_render, entry, out) for entry in manifest.entries])
     result = DatasetManifest(entries=entries)
     result.save(out / "manifest.json")
     return result

@@ -23,10 +23,11 @@ other grid entries are never scored on test. Each trajectory, with its
 selection, is one job of `parallel.run_jobs`, so the trajectories run on every
 usable core and give the same bytes as one process would.
 
-Pooling is the model's fixed first layer, so every entry point pools a split
-once (`model.pool`) and then indexes the pooled arrays: a trajectory pools
-its training split, selection pools validation, evaluation pools test, and
-`run_experiment` pools the three shared arrays once for all thresholds.
+The model takes only pooled input, so every entry point pools a split once
+with `model.pool` (which passes a pooled array through) and then indexes it:
+a trajectory pools its training split, selection pools validation, scoring
+pools test, and `run_experiment` pools the three shared arrays once for all
+thresholds.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Any, Callable
 
 import numpy as np
 
@@ -48,7 +48,6 @@ METHOD_ERM = "erm"
 METHOD_GERNE = "gerne"
 METHODS = (METHOD_ERM, METHOD_GERNE)
 EVAL_METRICS = ("wga", "bca")
-DEFAULT_BETA_GRID = (-0.5, 0.0, 0.5, 1.0, 2.0)
 # (method, selection metric) per result row, in the order of results.json and the final table
 ROWS = ((METHOD_ERM, "bca"), (METHOD_ERM, "wga"), (METHOD_GERNE, "wga"))
 
@@ -62,14 +61,14 @@ def row_label(method: str, eval_metric: str) -> str:
 class TrainConfig:
     """The config's `train` section; an invalid value raises on construction."""
 
-    batch_size: int = 64
-    epochs: int = 20
-    lr: float = 0.01
-    momentum: float = 0.9
-    seed: int = 0
-    trials: int = 3
-    beta: float | None = None  # None tunes beta over beta_grid
-    beta_grid: tuple[float, ...] = DEFAULT_BETA_GRID
+    batch_size: int
+    epochs: int
+    lr: float
+    momentum: float
+    seed: int
+    trials: int
+    beta: float | None  # None tunes beta over beta_grid
+    beta_grid: tuple[float, ...]
 
     def __post_init__(self) -> None:
         for key in ("batch_size", "epochs", "trials"):
@@ -93,7 +92,7 @@ class TrainConfig:
 class SplitData:
     """One split as dense arrays: patches, binary labels, group ids.
 
-    `x` holds either raw patches or the model's pooled input; see `pooled`.
+    `x` holds either raw patches or the model's pooled input (see `model.pool`).
     """
 
     x: np.ndarray  # (N, h, w, M) float32 raw, or (N, h/f, w/f, M) float64 pooled
@@ -110,10 +109,6 @@ class SplitData:
     @property
     def size(self) -> int:
         return self.x.shape[0]
-
-    def pooled(self, spec: ClassifierSpec) -> "SplitData":
-        """The same split with `x` pooled to the model input; labels and groups are shared."""
-        return replace(self, x=pool(spec, self.x))
 
 
 def _missing_groups(groups: np.ndarray) -> list[int]:
@@ -281,12 +276,12 @@ class TrialOutcome:
         }
 
 
-def _predict_split(spec: ClassifierSpec, params: np.ndarray, split: SplitData) -> np.ndarray:
-    # chunked so large splits stay within memory
-    out = np.empty(split.size, dtype=np.int64)
+def _predict_split(spec: ClassifierSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Labels for a pooled split `x`, predicted in chunks so large splits stay within memory."""
+    out = np.empty(x.shape[0], dtype=np.int64)
     chunk = 512
-    for lo in range(0, split.size, chunk):
-        out[lo : lo + chunk] = predict(spec, params, split.x[lo : lo + chunk])
+    for lo in range(0, x.shape[0], chunk):
+        out[lo : lo + chunk] = predict(spec, params, x[lo : lo + chunk])
     return out
 
 
@@ -305,12 +300,12 @@ def select_checkpoint(
             raise ValidationError(
                 f"worst-group selection needs every group in the validation split; missing {missing}"
             )
-    val = val.pooled(history.spec)
+    x = pool(history.spec, val.x)
     log: list[EpochRecord] = []
     best: Checkpoint | None = None
     best_score = -np.inf
     for i, params in enumerate(history.snapshots):
-        preds = _predict_split(history.spec, params, val)
+        preds = _predict_split(history.spec, params, x)
         ev = evaluate(preds, val.y, val.groups)
         epoch = i + 1
         log.append(EpochRecord(epoch=epoch, train_loss=history.train_losses[i], val_wga=ev.wga, val_bca=ev.bca))
@@ -325,7 +320,7 @@ def select_checkpoint(
 def _score_on_test(
     spec: ClassifierSpec, checkpoint: Checkpoint, log: list[EpochRecord], test: SplitData
 ) -> TrialOutcome:
-    preds = _predict_split(spec, checkpoint.params, test.pooled(spec))
+    preds = _predict_split(spec, checkpoint.params, pool(spec, test.x))
     test_eval = evaluate(preds, test.y, test.groups)
     return TrialOutcome(seed=spec.seed, checkpoint=checkpoint, log=log, test_eval=test_eval, test_preds=preds)
 
@@ -477,7 +472,7 @@ def run_experiment(
     # at each chosen beta; results come back in plan order
     first = [partial(erm_job, seed) for seed in seeds]
     first += [partial(grid_job, tau, metric, beta) for tau, metric in gerne_cells for beta in grid]
-    done = run_jobs(_call, first, len(first))
+    done = run_jobs(first)
     erm_outcomes = iter(zip(*done[: len(seeds)]))
     tuning = iter(done[len(seeds) :])
     tuned = {}
@@ -492,7 +487,7 @@ def run_experiment(
         partial(trial_job, tau, metric, tuned[tau, metric][0], seed)
         for tau, metric in gerne_cells for seed in seeds[1:]
     ]
-    trials = iter(run_jobs(_call, second, len(second)))
+    trials = iter(run_jobs(second))
 
     cells: list[CellReport] = []
     for tau in pooled_by_tau:
@@ -507,7 +502,3 @@ def run_experiment(
                 outcomes=outcomes,
             ))
     return RunReport(cells=cells, workers=pool_size(len(first)))
-
-
-def _call(jobs: list[Callable[[], Any]], i: int) -> Any:
-    return jobs[i]()

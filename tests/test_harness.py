@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from patchbias import harness, model, parallel
+from patchbias import harness, model, parallel, synthdata
 from patchbias.cli import main as cli_main
 from patchbias.errors import ValidationError
 from patchbias.model import load_checkpoint
@@ -213,6 +213,58 @@ def test_patchify_reports_missing_scene_files(tmp_path):
     victim.unlink()
     with pytest.raises(ValidationError, match=f"missing dataset files.*{victim.name}"):
         harness.cmd_patchify(cfg, tmp_path)
+
+
+def test_a_failed_regenerate_leaves_a_dataset_nothing_reads(tmp_path, monkeypatch):
+    cfg = mini_config()
+    harness.cmd_generate(cfg, tmp_path)
+    index = harness.cmd_patchify(cfg, tmp_path)
+    before = index.read_bytes()
+    changed = mini_config()
+    changed["dataset"]["noise_sigma"] = 0.08
+    calls = []
+    real_write = synthdata.write_tensor
+
+    def fail_on_third_write(path, array):
+        calls.append(path)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        real_write(path, array)
+
+    # the writes must happen in this process for the patch to see them
+    monkeypatch.setattr(parallel, "worker_count", lambda: 1)
+    monkeypatch.setattr(synthdata, "write_tensor", fail_on_third_write)
+    with pytest.raises(OSError, match="disk full"):
+        harness.cmd_generate(changed, tmp_path)
+    # one scene is rewritten, the others are from the old section
+    assert (tmp_path / "dataset" / "manifest.json").exists()
+    assert not (tmp_path / "dataset" / "generate.json").exists()
+    for config in (cfg, changed):
+        with pytest.raises(ValidationError, match="generate.json is missing or names another.*run generate first"):
+            harness.cmd_patchify(config, tmp_path)
+        with pytest.raises(ValidationError, match="run generate first"):
+            harness.build_split_data(config, tmp_path)
+    assert index.read_bytes() == before
+
+
+def test_patchify_and_assembly_refuse_a_dataset_from_another_section(tmp_path, capsys):
+    cfg = mini_config()
+    harness.cmd_generate(cfg, tmp_path)
+    harness.cmd_patchify(cfg, tmp_path)
+    changed = mini_config()
+    changed["dataset"]["noise_sigma"] = 0.08
+    with pytest.raises(ValidationError, match="not generated from this config's dataset section"):
+        harness.cmd_patchify(changed, tmp_path)
+    with pytest.raises(ValidationError, match="not generated from this config's dataset section"):
+        harness.build_split_data(changed, tmp_path)
+    # a marker that is not valid JSON vouches for nothing, and generate replaces it
+    (tmp_path / "dataset" / "generate.json").write_text("{")
+    with pytest.raises(ValidationError, match="not generated from this config's dataset section"):
+        harness.cmd_patchify(cfg, tmp_path)
+    capsys.readouterr()
+    harness.cmd_generate(cfg, tmp_path)
+    assert "generated 3 images" in capsys.readouterr().out
+    harness.cmd_patchify(cfg, tmp_path)
 
 
 def test_patch_index_matches_the_grid(tiny_run):
@@ -496,6 +548,28 @@ def test_cli_error_paths(tmp_path, capsys):
     cfg["dataset"]["rim_thickness"] = float("inf")  # written as Infinity, which json reads back
     assert cli_main(["generate", "--config", str(_write_config(tmp_path, cfg)), "--out", str(tmp_path)]) == 2
     assert "dataset.rim_thickness" in capsys.readouterr().err
+
+
+def test_cli_reports_a_malformed_patch_index(tmp_path, capsys):
+    cfg = mini_config()
+    path = _write_config(tmp_path, cfg)
+    out = tmp_path / "run"
+    assert cli_main(["generate", "--config", str(path), "--out", str(out)]) == 0
+    assert cli_main(["patchify", "--config", str(path), "--out", str(out)]) == 0
+    index = out / "patches" / "patch_index.jsonl"
+    lines = index.read_text().splitlines()
+    first = json.loads(lines[0])
+    cases = {
+        "truncated": (lines[:-1] + [lines[-1][: len(lines[-1]) // 2]], len(lines)),
+        "missing field": ([json.dumps({k: v for k, v in first.items() if k != "label"})] + lines[1:], 1),
+        "unknown field": ([json.dumps({**first, "stain": 1})] + lines[1:], 1),
+        "unknown split": ([json.dumps({**first, "split": "holdout"})] + lines[1:], 1),
+    }
+    for name, (corrupt, lineno) in cases.items():
+        index.write_text("\n".join(corrupt) + "\n")
+        capsys.readouterr()
+        assert cli_main(["analyze", "--config", str(path), "--out", str(out)]) == 2, name
+        assert f"error: {index}:{lineno}: " in capsys.readouterr().err, name
 
 
 def test_cli_honors_the_output_env_var(tiny_run, tmp_path, monkeypatch):

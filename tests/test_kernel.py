@@ -97,11 +97,12 @@ def _oracle_loss_and_grad(spec, params, batch, labels):
 
 @st.composite
 def kernel_cases(draw):
-    """A spec, perturbed params, a raw or pooled batch, and labels.
+    """A spec, perturbed params, a pooled batch, and labels.
 
     Pooled sides 7-25 are drawn per axis, so grids are non-square with odd
     and even sides. Weights are rescaled and biases shifted so that a share
-    of the ReLU inputs is negative.
+    of the ReLU inputs is negative. Half the batches are float32, which the
+    kernel must upcast before its matmuls as the oracle's `pool` does.
     """
     f = draw(st.integers(1, 3))
     hp, wp = draw(st.integers(7, 25)), draw(st.integers(7, 25))
@@ -119,7 +120,9 @@ def kernel_cases(draw):
     params += rng.normal(0.0, 0.2, params.size)
     n = draw(st.integers(1, 130))
     raw = rng.normal(0.3, 1.0, (n, h, w, spec.channels)).astype(np.float32)
-    batch = raw if f >= 2 and draw(st.booleans()) else pool(spec, raw)
+    batch = pool(spec, raw)
+    if draw(st.booleans()):
+        batch = batch.astype(np.float32)
     return spec, params, batch, rng.integers(0, 2, n)
 
 

@@ -14,6 +14,7 @@ from patchbias.model import (
     loss_and_grad,
     param_layout,
     param_views,
+    pool,
     predict,
     relu_margin,
     save_checkpoint,
@@ -273,4 +274,4 @@ def test_pooled_forward_matches_manual_averaging():
     x = _batch(spec, 2, 15)
     manual = x.reshape(2, 16, 2, 16, 2, 1).mean(axis=(2, 4)).astype(np.float64)
     inner = ClassifierSpec(input_height=16, input_width=16, channels=1, k1=3, k2=4, pool_target=16, seed=3)
-    np.testing.assert_allclose(forward(spec, params, x), forward(inner, params, manual), atol=1e-12)
+    np.testing.assert_allclose(forward(spec, params, pool(spec, x)), forward(inner, params, manual), atol=1e-12)

@@ -3,6 +3,7 @@
 import multiprocessing
 import os
 import time
+from functools import partial
 
 import pytest
 
@@ -25,8 +26,7 @@ def _wait_for(marker):
         time.sleep(0.01)
 
 
-def _square(state, i):
-    caller, marker, values = state
+def _square(caller, marker, values, i):
     if os.getpid() == caller:
         if i == 0:
             _wait_for(marker)  # so that a helper surely takes part
@@ -41,15 +41,15 @@ def test_four_workers_return_the_serial_results_in_index_order(monkeypatch, tmp_
     # a job claimed twice would fill its slot twice and leave another empty
     monkeypatch.setattr(parallel, "worker_count", lambda: 4)
     values = list(range(400))
-    results = parallel.run_jobs(_square, (os.getpid(), tmp_path / "helped", values), len(values))
+    jobs = [partial(_square, os.getpid(), tmp_path / "helped", values, i) for i in values]
+    results = parallel.run_jobs(jobs)
     assert [(i, sq) for i, _, sq in results] == [(i, i * i) for i in values]
     assert results[0][1] == os.getpid()  # the caller runs job 0
     assert len({pid for _, pid, _ in results}) >= 2
     assert multiprocessing.active_children() == []
 
 
-def _fail_in_helper(state, i):
-    caller, marker, error = state
+def _fail_in_helper(caller, marker, error, i):
     if os.getpid() == caller:
         _wait_for(marker)  # until a helper has failed, so the failure is never the caller's
         return i
@@ -61,14 +61,15 @@ def _fail_in_helper(state, i):
 @pytest.mark.parametrize("error", [NonFiniteGradientError("non-finite gradient on the biased batch"),
                                    ValidationError("group 1 is empty")])
 def test_a_helper_error_surfaces_with_its_type_and_message(two_workers, tmp_path, error):
+    jobs = [partial(_fail_in_helper, os.getpid(), tmp_path / "failed", error, i) for i in range(4)]
     with pytest.raises(type(error)) as raised:
-        parallel.run_jobs(_fail_in_helper, (os.getpid(), tmp_path / "failed", error), 4)
+        parallel.run_jobs(jobs)
     assert str(raised.value) == str(error)
     assert isinstance(raised.value.__cause__, parallel.HelperTraceback)
     assert multiprocessing.active_children() == []
 
 
-def _fail_in_caller(state, i):
+def _fail_in_caller(i):
     if i == 0:
         raise ValidationError("job 0 failed")
     time.sleep(5)  # a pending helper job is cut short, not waited for
@@ -79,13 +80,12 @@ def _fail_in_caller(state, i):
 def test_a_caller_error_stops_the_helpers(two_workers):
     started = time.monotonic()
     with pytest.raises(ValidationError, match="job 0 failed"):
-        parallel.run_jobs(_fail_in_caller, None, 4)
+        parallel.run_jobs([partial(_fail_in_caller, i) for i in range(4)])
     assert time.monotonic() - started < 4
     assert multiprocessing.active_children() == []
 
 
-def _die_in_helper(state, i):
-    caller, marker = state
+def _die_in_helper(caller, marker, i):
     if os.getpid() == caller:
         _wait_for(marker)
         return i
@@ -96,11 +96,11 @@ def _die_in_helper(state, i):
 @needs_blas_pin
 def test_a_helper_that_dies_fails_the_run(two_workers, tmp_path):
     with pytest.raises(RuntimeError, match="exited without returning its job"):
-        parallel.run_jobs(_die_in_helper, (os.getpid(), tmp_path / "died"), 2)
+        parallel.run_jobs([partial(_die_in_helper, os.getpid(), tmp_path / "died", i) for i in range(2)])
     assert multiprocessing.active_children() == []
 
 
-def _blas_threads_in_job(state, i):
+def _blas_threads_in_job():
     return parallel._blas_threads()[0]()
 
 
@@ -110,7 +110,7 @@ def test_blas_runs_one_thread_in_the_pool_and_is_restored(two_workers):
     saved = get_threads()
     try:
         set_threads(2)
-        assert parallel.run_jobs(_blas_threads_in_job, None, 3) == [1, 1, 1]
+        assert parallel.run_jobs([_blas_threads_in_job] * 3) == [1, 1, 1]
         assert get_threads() == 2
     finally:
         set_threads(saved)
@@ -123,8 +123,8 @@ def test_one_job_or_one_worker_starts_no_process(monkeypatch):
     monkeypatch.setattr(os, "fork", no_fork)
     monkeypatch.setattr(parallel, "worker_count", lambda: 2)
     assert parallel.pool_size(1) == 1
-    assert parallel.run_jobs(lambda state, i: state + i, 10, 1) == [10]
-    assert parallel.run_jobs(lambda state, i: state + i, 10, 0) == []
+    assert parallel.run_jobs([lambda: 10]) == [10]
+    assert parallel.run_jobs([]) == []
     monkeypatch.setattr(parallel, "worker_count", lambda: 1)
     assert parallel.pool_size(5) == 1
-    assert parallel.run_jobs(lambda state, i: state + i, 10, 3) == [10, 11, 12]
+    assert parallel.run_jobs([partial(int.__add__, 10, i) for i in range(3)]) == [10, 11, 12]

@@ -1,4 +1,4 @@
-"""Input pooling: the strided sum against the reshape-mean oracle, and raw vs pooled batches.
+"""Input pooling: the strided sum against the reshape-mean oracle, and the pooled-only model input.
 
 Training pools each split once and indexes the pooled array, so these
 properties are what keeps that bit-identical to pooling every batch.
@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patchbias.errors import ValidationError
-from patchbias.model import ClassifierSpec, forward, init_params, loss_and_grad, pool, predict
+from patchbias.model import ClassifierSpec, forward, init_params, loss_and_grad, pool, predict, relu_margin
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -74,20 +74,6 @@ def test_pooling_a_split_then_gathering_equals_pooling_the_gathered_batch(spec, 
     np.testing.assert_array_equal(pool(spec, x)[idx], pool(spec, x[idx]))
 
 
-@PROPERTY
-@given(spec=pooled_specs(max_factor=4, max_side=10), seed=st.integers(0, 2**32 - 1))
-def test_raw_and_pooled_batches_give_identical_loss_grad_and_predictions(spec, seed):
-    params = init_params(spec)
-    x = _patches(spec, 5, seed)
-    labels = np.random.default_rng(seed).integers(0, 2, 5)
-    pooled = pool(spec, x)
-    loss_raw, grad_raw = loss_and_grad(spec, params, x, labels)
-    loss_pooled, grad_pooled = loss_and_grad(spec, params, pooled, labels)
-    assert loss_raw == loss_pooled
-    np.testing.assert_array_equal(grad_raw, grad_pooled)
-    np.testing.assert_array_equal(predict(spec, params, x), predict(spec, params, pooled))
-
-
 def test_pooling_twice_is_pooling_once():
     spec = ClassifierSpec(input_height=32, input_width=32, channels=1, pool_target=16)
     once = pool(spec, _patches(spec, 3, 2))
@@ -98,11 +84,22 @@ def test_pooling_twice_is_pooling_once():
 
 
 def test_batch_shape_error_names_both_accepted_shapes():
+    """`pool` takes a raw or a pooled batch; the model takes only the pooled one and names `pool`."""
     spec = ClassifierSpec(input_height=32, input_width=30, channels=1, k1=2, k2=3, pool_target=16)
     params = init_params(spec)
     bad = np.zeros((2, 16, 16, 1), dtype=np.float32)
     message = r"\(2, 16, 16, 1\).*raw spec input \(B, 32, 30, 1\).*pooled input \(B, 16, 15, 1\)"
     with pytest.raises(ValidationError, match=message):
-        forward(spec, params, bad)
-    with pytest.raises(ValidationError, match=message):
         pool(spec, bad)
+    raw = np.zeros((2, 32, 30, 1), dtype=np.float32)
+    pooled_only = r"\(2, 32, 30, 1\) is not the pooled model input \(B, 16, 15, 1\).*model\.pool"
+    for call in (
+        lambda b: forward(spec, params, b),
+        lambda b: loss_and_grad(spec, params, b, np.zeros(2, dtype=np.int64)),
+        lambda b: predict(spec, params, b),
+        lambda b: relu_margin(spec, params, b),
+    ):
+        with pytest.raises(ValidationError, match=pooled_only):
+            call(raw)
+        with pytest.raises(ValidationError, match=r"\(2, 16, 16, 1\) is not the pooled model input"):
+            call(bad)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from patchbias.errors import NonFiniteGradientError, ValidationError
-from patchbias.model import ClassifierSpec, init_params, param_views
+from patchbias.harness import default_config
+from patchbias.model import ClassifierSpec, init_params, param_views, pool
 from patchbias import parallel, training
 from patchbias.training import (
     History,
@@ -23,15 +24,15 @@ from patchbias.training import (
 SPEC = ClassifierSpec(input_height=8, input_width=8, channels=1, k1=2, k2=3, pool_target=8, seed=0)
 
 
-def _split(n, seed):
-    """Separable toy data: label-1 patches sit near +0.5, label-0 near -0.5.
+def _split(n, seed, hw=(8, 8)):
+    """Separable toy data: label-1 patches (h, w, 1) sit near +0.5, label-0 near -0.5.
 
     Groups cycle through all four (y, z) cells so worst-group selection works.
     """
     rng = np.random.default_rng(seed)
     groups = np.arange(n, dtype=np.int64) % 4
     y = groups // 2
-    x = np.where(y == 1, 0.5, -0.5)[:, None, None, None] + rng.normal(0.0, 0.05, (n, 8, 8, 1))
+    x = np.where(y == 1, 0.5, -0.5)[:, None, None, None] + rng.normal(0.0, 0.05, (n, *hw, 1))
     return SplitData(x=x.astype(np.float32), y=y, groups=groups)
 
 
@@ -173,7 +174,7 @@ def test_non_finite_gradients_abort_and_name_the_stream():
 )
 def test_train_config_validation(kwargs, message):
     with pytest.raises(ValidationError, match=message):
-        TrainConfig(**kwargs)
+        TrainConfig(**{**default_config()["train"], **kwargs})
 
 
 def test_split_data_shape_checks():
@@ -272,8 +273,34 @@ def test_train_history_and_evaluate_outcome_learn_the_separable_toy_problem():
     assert repeat.test_eval.bca == out.test_eval.bca
 
 
+def test_raw_and_pooled_splits_give_the_same_trajectory_and_outcome():
+    """At pool factor 2, training and selection on raw splits equal those on pooled splits, bit for bit."""
+    spec = ClassifierSpec(input_height=17, input_width=16, channels=1, k1=2, k2=3, pool_target=9, seed=0)
+    assert spec.pool_factor == 2 and spec.pooled_shape == (8, 8)
+    raw = [_split(48, 40, hw=(17, 16)), _split(32, 41, hw=(17, 16)), _split(32, 42, hw=(17, 16))]
+    pooled = [SplitData(x=pool(spec, s.x), y=s.y, groups=s.groups) for s in raw]
+    assert pooled[0].x.shape == (48, 8, 8, 1)
+
+    def run(train, val, test, method, beta):
+        history = train_history(spec, method, train, seed=2, epochs=3, batch_size=16, lr=0.1, momentum=0.9,
+                                beta=beta)
+        return history, evaluate_outcome(history, val, test, "wga")
+
+    for method, beta in (("erm", None), ("gerne", 0.5)):
+        (h_raw, o_raw), (h_pooled, o_pooled) = run(*raw, method, beta), run(*pooled, method, beta)
+        assert len(h_raw.snapshots) == len(h_pooled.snapshots) == 3
+        for a, b in zip(h_raw.snapshots, h_pooled.snapshots):
+            np.testing.assert_array_equal(a, b)
+        assert h_raw.train_losses == h_pooled.train_losses
+        assert o_raw.log == o_pooled.log
+        assert o_raw.checkpoint.epoch == o_pooled.checkpoint.epoch
+        np.testing.assert_array_equal(o_raw.checkpoint.params, o_pooled.checkpoint.params)
+        np.testing.assert_array_equal(o_raw.test_preds, o_pooled.test_preds)
+
+
 def _experiment_config(**overrides):
-    base = dict(batch_size=16, epochs=2, lr=0.1, momentum=0.9, seed=3, trials=1, beta=0.5)
+    base = default_config()["train"]
+    base.update(batch_size=16, epochs=2, lr=0.1, momentum=0.9, seed=3, trials=1, beta=0.5)
     base.update(overrides)
     return TrainConfig(**base)
 
@@ -350,7 +377,7 @@ def test_run_experiment_trains_each_trajectory_once(monkeypatch, beta, trajector
         training.train_history, training.select_checkpoint, training._predict_split
     )
     data = _two_thresholds()
-    test_labels = data[0.1][2].y  # the thresholds share it
+    test_x = pool(SPEC, data[0.1][2].x)  # the thresholds share it
 
     def counted(*args, **kwargs):
         calls.append((args[1], kwargs["seed"], kwargs.get("beta")))
@@ -360,10 +387,10 @@ def test_run_experiment_trains_each_trajectory_once(monkeypatch, beta, trajector
         selected.append(history)
         return real_select(history, val, eval_metric)
 
-    def counted_predict(spec, params, split):
-        if split.y is test_labels:
+    def counted_predict(spec, params, x):
+        if np.array_equal(x, test_x):
             tested.append(params)
-        return real_predict(spec, params, split)
+        return real_predict(spec, params, x)
 
     # the counters live in this process, so every job must run here
     monkeypatch.setattr(parallel, "worker_count", lambda: 1)
