@@ -47,12 +47,14 @@ for stage in generate patchify analyze train report; do
   python3 -m patchbias "$stage" --config "$out/config.json" --out "$out/run" > /dev/null
 done
 
-echo "== stage seconds (run_manifest.json)"
+# peak RSS is the stage process's ru_maxrss: the caller only, not its forked helpers
+echo "== stage seconds and peak RSS (run_manifest.json)"
 python3 -c '
 import json, sys
 stages = json.load(open(sys.argv[1]))["stages"]
 for name in ("generate", "patchify", "analyze", "train", "report"):
-    print("%-9s %8.2f s on %d worker(s)" % (name, stages[name]["seconds"], stages[name]["workers"]))
+    s = stages[name]
+    print("%-9s %8.2f s on %d worker(s), peak %7.1f MB" % (name, s["seconds"], s["workers"], s["peak_rss_mb"]))
 ' "$out/run/run_manifest.json"
 
 status=0

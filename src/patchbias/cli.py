@@ -37,19 +37,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        # each stage validates the config and resolves the output root itself
         config = harness.load_config(args.config)
-        out_root = harness.resolve_out_root(config, args.out)
-        out_root.mkdir(parents=True, exist_ok=True)
         if args.command == "generate":
-            harness.cmd_generate(config, out_root)
+            harness.cmd_generate(config, args.out)
         elif args.command == "patchify":
-            harness.cmd_patchify(config, out_root)
+            harness.cmd_patchify(config, args.out)
         elif args.command == "analyze":
-            harness.cmd_analyze(config, out_root, predictions=args.predictions)
+            harness.cmd_analyze(config, args.out, predictions=args.predictions)
         elif args.command == "train":
-            harness.cmd_train(config, out_root)
+            harness.cmd_train(config, args.out)
         else:
-            harness.cmd_report(config, out_root)
+            harness.cmd_report(config, args.out)
     except PatchBiasError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -21,6 +21,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import resource
 import time
 from contextlib import ExitStack
 from datetime import datetime, timezone
@@ -33,7 +34,7 @@ from .analysis import bias_report, histogram, overlay_predictions, write_histogr
 from .atomicio import atomic_dir, atomic_path, write_atomic
 from .composition import assign_group, binarize_spurious, compute_ratios, infer_tissue
 from .errors import ValidationError, is_int, is_number
-from .model import ClassifierSpec, save_checkpoint
+from .model import ClassifierSpec, pool, save_checkpoint
 from .parallel import pool_size
 from .patchgrid import PatchGridSpec, binary_label, partition
 from .records import PatchRecord, read_patch_index, tau_key, write_patch_index
@@ -216,6 +217,7 @@ def validate_config(config: dict) -> None:
 
 
 def load_config(path: str | Path) -> dict:
+    """Read a config file; each stage validates the config it is given."""
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"config file not found: {path}")
@@ -223,7 +225,6 @@ def load_config(path: str | Path) -> dict:
         config = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config file {path} is not valid JSON: {exc}") from exc
-    validate_config(config)
     return config
 
 
@@ -237,7 +238,7 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(_canonical(core).encode()).hexdigest()
 
 
-def resolve_out_root(config: dict, override: str | None = None) -> Path:
+def resolve_out_root(config: dict, override: str | Path | None = None) -> Path:
     if override:
         return Path(override)
     env = os.environ.get(ENV_OUT_ROOT)
@@ -246,10 +247,27 @@ def resolve_out_root(config: dict, override: str | None = None) -> Path:
     return Path(config["out_root"])
 
 
+def _stage_root(config: dict, out_root: str | Path | None) -> Path:
+    """Validate the config, then resolve and create the stage's output root.
+
+    This is the one validation of a stage, whether the CLI or a library
+    caller runs it, and it comes before anything is written.
+    """
+    validate_config(config)
+    root = resolve_out_root(config, out_root)
+    root.mkdir(parents=True, exist_ok=True)
+    return root
+
+
 def _update_run_manifest(
     out_root: Path, config: dict, stage: str, artifacts: dict, seconds: float, workers: int = 1
 ) -> None:
-    """Record a finished stage: when, how long, on how many processes, and what it wrote."""
+    """Record a finished stage: when, how long, on how many processes, its peak memory, and what it wrote.
+
+    `peak_rss_mb` is the stage process's `ru_maxrss`: the calling process only,
+    not the helpers `run_jobs` forks, and, when one process runs several
+    stages, the peak so far rather than this stage's own.
+    """
     path = out_root / "run_manifest.json"
     doc = json.loads(path.read_text()) if path.exists() else {"stages": {}}
     doc["config_hash"] = config_hash(config)
@@ -261,6 +279,7 @@ def _update_run_manifest(
         "completed_utc": datetime.now(timezone.utc).isoformat(),
         "seconds": round(seconds, 3),
         "workers": workers,
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         "artifacts": artifacts,
     }
     write_atomic(path, json.dumps(doc, indent=2, sort_keys=True))
@@ -319,9 +338,9 @@ def _generated_manifest(config: dict, dataset_dir: Path) -> DatasetManifest:
     return DatasetManifest.load(manifest_path)
 
 
-def cmd_generate(config: dict, out_root: Path) -> Path:
+def cmd_generate(config: dict, out_root: str | Path | None) -> Path:
     """Materialize the corpus; a rerun with the same dataset section skips."""
-    validate_config(config)
+    out_root = _stage_root(config, out_root)
     started = time.monotonic()
     dataset_dir = out_root / "dataset"
     try:
@@ -397,9 +416,9 @@ def _iter_patch_records(config: dict, manifest: DatasetManifest, dataset_dir: Pa
             yield record, patch
 
 
-def cmd_patchify(config: dict, out_root: Path) -> Path:
+def cmd_patchify(config: dict, out_root: str | Path | None) -> Path:
     """Patch the whole corpus into a JSON-lines index with per-tau group columns."""
-    validate_config(config)
+    out_root = _stage_root(config, out_root)
     started = time.monotonic()
     dataset_dir = out_root / "dataset"
     manifest = _generated_manifest(config, dataset_dir)
@@ -437,9 +456,9 @@ def _read_predictions_csv(path: Path) -> dict[tuple[str, int, int], int]:
     return preds
 
 
-def cmd_analyze(config: dict, out_root: Path, predictions: str | Path | None = None) -> Path:
+def cmd_analyze(config: dict, out_root: str | Path | None, predictions: str | Path | None = None) -> Path:
     """Composition histograms and bias reports on one split, optionally overlaying predictions."""
-    validate_config(config)
+    out_root = _stage_root(config, out_root)
     started = time.monotonic()
     index_path = out_root / "patches" / "patch_index.jsonl"
     records = read_patch_index(index_path)
@@ -500,9 +519,9 @@ def build_split_data(
 
     Each split's (count, h, w, C) float32 array is allocated once from the
     index's split counts and filled in place, so assembly holds no second
-    copy of the pixels. The arrays stay raw: training pools each split once
-    on its own. Pixel arrays are shared across thresholds; only the group
-    ids differ.
+    copy of the pixels. Pixel arrays are shared across thresholds; only the
+    group ids differ. The arrays stay raw and nothing here keeps a reference
+    to them, so `cmd_train` can replace each with its pooled copy and free it.
     """
     dataset_dir = out_root / "dataset"
     manifest = _generated_manifest(config, dataset_dir)
@@ -566,13 +585,21 @@ def cell_dir_name(method: str, eval_metric: str, tau: float) -> str:
     return f"{method}_{eval_metric}_tau{tau_key(tau)}"
 
 
-def cmd_train(config: dict, out_root: Path) -> RunReport:
+def cmd_train(config: dict, out_root: str | Path | None) -> RunReport:
     """Run the full (method, selection metric) x threshold grid and persist artifacts."""
-    validate_config(config)
+    out_root = _stage_root(config, out_root)
     started = time.monotonic()
     data_by_tau, by_split = build_split_data(config, out_root)
     test_records = by_split["test"]
     model_spec = model_spec_from_config(config)
+    # training reads only the pooled input, so each shared raw array is
+    # replaced by its pooled copy and freed; val and test go first, so that
+    # only the raw train array is alive when the largest copy is made
+    shared = next(iter(data_by_tau.values()))
+    for i in (1, 2, 0):
+        x = pool(model_spec, shared[i].x)
+        for splits in data_by_tau.values():
+            splits[i].x = x
     report = run_experiment(model_spec, data_by_tau, TrainConfig(**config["train"]))
 
     artifacts = {}
@@ -612,9 +639,9 @@ def cmd_train(config: dict, out_root: Path) -> RunReport:
     return report
 
 
-def cmd_report(config: dict, out_root: Path) -> Path:
+def cmd_report(config: dict, out_root: str | Path | None) -> Path:
     """Assemble the final results table from the train stage output."""
-    validate_config(config)
+    out_root = _stage_root(config, out_root)
     started = time.monotonic()
     results_path = out_root / "train" / "results.json"
     if not results_path.exists():
@@ -649,7 +676,7 @@ def cmd_report(config: dict, out_root: Path) -> Path:
     return table_path
 
 
-def run_pipeline(config: dict, out_root: Path) -> Path:
+def run_pipeline(config: dict, out_root: str | Path | None) -> Path:
     """generate -> patchify -> analyze -> train -> report, returning the table path."""
     cmd_generate(config, out_root)
     cmd_patchify(config, out_root)

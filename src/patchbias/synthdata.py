@@ -280,16 +280,7 @@ class DatasetManifest:
     def from_dict(cls, doc: dict) -> "DatasetManifest":
         if doc.get("format") != "patchbias-dataset-manifest-v1":
             raise ValidationError(f"unknown manifest format {doc.get('format')!r}")
-        entries = [
-            ManifestEntry(
-                image_id=item["image_id"],
-                split=item["split"],
-                spec=SceneSpec(**item["spec"]),
-                image_path=item.get("image_path"),
-                mask_path=item.get("mask_path"),
-            )
-            for item in doc["images"]
-        ]
+        entries = [ManifestEntry(**{**item, "spec": SceneSpec(**item["spec"])}) for item in doc["images"]]
         return cls(entries=entries)
 
     def save(self, path: str | Path) -> None:
@@ -297,7 +288,11 @@ class DatasetManifest:
 
     @classmethod
     def load(cls, path: str | Path) -> "DatasetManifest":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        """Read a saved manifest; bad JSON or a missing or unknown field raises `ValidationError`."""
+        try:
+            return cls.from_dict(json.loads(Path(path).read_text()))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:  # ValidationError is a ValueError
+            raise ValidationError(f"dataset manifest {path} is malformed ({exc!r}); run generate again") from None
 
 
 def split_counts(n_images: int, fractions: tuple[float, float, float]) -> tuple[int, int, int]:

@@ -23,11 +23,14 @@ other grid entries are never scored on test. Each trajectory, with its
 selection, is one job of `parallel.run_jobs`, so the trajectories run on every
 usable core and give the same bytes as one process would.
 
-The model takes only pooled input, so every entry point pools a split once
-with `model.pool` (which passes a pooled array through) and then indexes it:
-a trajectory pools its training split, selection pools validation, scoring
-pools test, and `run_experiment` pools the three shared arrays once for all
-thresholds.
+The model takes only pooled input. `run_experiment` requires the three shared
+split arrays to be pooled already (`harness.cmd_train` pools them with
+`model.pool` and frees the raw pixels), so it never holds a raw copy. An ERM
+job predicts each epoch snapshot once on the shared validation array, selects
+for every (threshold, metric) pair from those predictions, and predicts test
+once per distinct chosen epoch. The single-trajectory entry points
+(`train_history`, `select_checkpoint`, `evaluate_outcome`) also take raw
+splits: they pool once with `model.pool`, which passes a pooled array through.
 """
 
 from __future__ import annotations
@@ -285,6 +288,31 @@ def _predict_split(spec: ClassifierSpec, params: np.ndarray, x: np.ndarray) -> n
     return out
 
 
+def _val_predictions(history: History, val: SplitData) -> list[np.ndarray]:
+    """Validation labels predicted by each epoch snapshot, in epoch order."""
+    x = pool(history.spec, val.x)
+    return [_predict_split(history.spec, params, x) for params in history.snapshots]
+
+
+def _choose(
+    history: History, val_preds: list[np.ndarray], val: SplitData, eval_metric: str
+) -> tuple[Checkpoint, list[EpochRecord]]:
+    """Strict improvement of the metric wins, ties keep the earlier epoch."""
+    log: list[EpochRecord] = []
+    best: Checkpoint | None = None
+    best_score = -np.inf
+    for i, (params, preds) in enumerate(zip(history.snapshots, val_preds)):
+        ev = evaluate(preds, val.y, val.groups)
+        epoch = i + 1
+        log.append(EpochRecord(epoch=epoch, train_loss=history.train_losses[i], val_wga=ev.wga, val_bca=ev.bca))
+        score = ev.wga if eval_metric == "wga" else ev.bca
+        if score > best_score:
+            best_score = score
+            best = Checkpoint(params=params, epoch=epoch, val_wga=ev.wga, val_bca=ev.bca)
+    assert best is not None
+    return best, log
+
+
 def select_checkpoint(
     history: History, val: SplitData, eval_metric: str
 ) -> tuple[Checkpoint, list[EpochRecord]]:
@@ -300,29 +328,21 @@ def select_checkpoint(
             raise ValidationError(
                 f"worst-group selection needs every group in the validation split; missing {missing}"
             )
-    x = pool(history.spec, val.x)
-    log: list[EpochRecord] = []
-    best: Checkpoint | None = None
-    best_score = -np.inf
-    for i, params in enumerate(history.snapshots):
-        preds = _predict_split(history.spec, params, x)
-        ev = evaluate(preds, val.y, val.groups)
-        epoch = i + 1
-        log.append(EpochRecord(epoch=epoch, train_loss=history.train_losses[i], val_wga=ev.wga, val_bca=ev.bca))
-        score = ev.wga if eval_metric == "wga" else ev.bca
-        if score > best_score:
-            best_score = score
-            best = Checkpoint(params=params, epoch=epoch, val_wga=ev.wga, val_bca=ev.bca)
-    assert best is not None
-    return best, log
+    return _choose(history, _val_predictions(history, val), val, eval_metric)
+
+
+def _outcome(
+    seed: int, checkpoint: Checkpoint, log: list[EpochRecord], test: SplitData, preds: np.ndarray
+) -> TrialOutcome:
+    test_eval = evaluate(preds, test.y, test.groups)
+    return TrialOutcome(seed=seed, checkpoint=checkpoint, log=log, test_eval=test_eval, test_preds=preds)
 
 
 def _score_on_test(
     spec: ClassifierSpec, checkpoint: Checkpoint, log: list[EpochRecord], test: SplitData
 ) -> TrialOutcome:
     preds = _predict_split(spec, checkpoint.params, pool(spec, test.x))
-    test_eval = evaluate(preds, test.y, test.groups)
-    return TrialOutcome(seed=spec.seed, checkpoint=checkpoint, log=log, test_eval=test_eval, test_preds=preds)
+    return _outcome(spec.seed, checkpoint, log, test, preds)
 
 
 def evaluate_outcome(
@@ -409,12 +429,20 @@ def run_experiment(
     """Every row of ROWS at every threshold, with trial i at seed config.seed + i.
 
     Before anything trains, every threshold must share the first threshold's
-    patch and label arrays, hold all four groups in train (balanced sampling)
-    and all four in validation (worst-group selection).
+    patch and label arrays, the patch arrays must hold the pooled model input
+    (see `model.pool`), and every threshold must hold all four groups in train
+    (balanced sampling) and all four in validation (worst-group selection).
     """
     if not data_by_tau:
         raise ValidationError("data grid must be non-empty")
     shared = next(iter(data_by_tau.values()))
+    pooled = (*model_spec.pooled_shape, model_spec.channels)
+    for name, split in zip(("train", "val", "test"), shared):
+        if split.x.shape[1:] != pooled:
+            raise ValidationError(
+                f"{name} split shape {split.x.shape} is not the pooled model input "
+                f"(N, {', '.join(map(str, pooled))}); pool the splits with model.pool first"
+            )
     for tau, splits in data_by_tau.items():
         if any(s.x is not first.x or s.y is not first.y for s, first in zip(splits, shared)):
             raise ValidationError(
@@ -434,37 +462,40 @@ def run_experiment(
                 f"(tau={tau})"
             )
 
-    pooled = [pool(model_spec, s.x) for s in shared]
-    pooled_by_tau = {
-        tau: tuple(replace(s, x=x) for s, x in zip(splits, pooled)) for tau, splits in data_by_tau.items()
-    }
     seeds = [config.seed + i for i in range(config.trials)]
     sgd = dict(epochs=config.epochs, batch_size=config.batch_size, lr=config.lr, momentum=config.momentum)
-    erm_train = replace(shared[0], x=pooled[0])
     erm_metrics = [metric for method, metric in ROWS if method == METHOD_ERM]
-    gerne_cells = [(tau, metric) for tau in pooled_by_tau for method, metric in ROWS if method == METHOD_GERNE]
+    gerne_cells = [(tau, metric) for tau in data_by_tau for method, metric in ROWS if method == METHOD_GERNE]
     # a fixed beta is a one-point grid; a repeated grid entry names the same
     # trajectory, so it trains once
     grid = [config.beta] if config.beta is not None else list(dict.fromkeys(config.beta_grid))
 
     def erm_job(seed: int) -> list[TrialOutcome]:
-        # ERM never reads group ids, so one trajectory serves every threshold and ERM row
-        history = train_history(model_spec, METHOD_ERM, erm_train, seed=seed, **sgd)
-        return [
-            evaluate_outcome(history, val, test, metric)
-            for _, val, test in pooled_by_tau.values() for metric in erm_metrics
-        ]
+        # ERM never reads group ids, so one trajectory serves every threshold
+        # and ERM row: each snapshot is predicted once on the shared validation
+        # array, and test once per distinct chosen epoch
+        history = train_history(model_spec, METHOD_ERM, shared[0], seed=seed, **sgd)
+        val_preds = _val_predictions(history, shared[1])
+        test_preds: dict[int, np.ndarray] = {}
+        outcomes = []
+        for _, val, test in data_by_tau.values():
+            for metric in erm_metrics:
+                checkpoint, log = _choose(history, val_preds, val, metric)
+                if checkpoint.epoch not in test_preds:
+                    test_preds[checkpoint.epoch] = _predict_split(history.spec, checkpoint.params, test.x)
+                outcomes.append(_outcome(seed, checkpoint, log, test, test_preds[checkpoint.epoch]))
+        return outcomes
 
     def gerne_history(tau: float, seed: int, beta: float) -> History:
-        return train_history(model_spec, METHOD_GERNE, pooled_by_tau[tau][0], seed=seed, beta=beta, **sgd)
+        return train_history(model_spec, METHOD_GERNE, data_by_tau[tau][0], seed=seed, beta=beta, **sgd)
 
     def grid_job(tau: float, metric: str, beta: float) -> tuple[ClassifierSpec, Checkpoint, list[EpochRecord]]:
         # validation only: the test split is predicted for the winning entry alone
         history = gerne_history(tau, seeds[0], beta)
-        return (history.spec, *select_checkpoint(history, pooled_by_tau[tau][1], metric))
+        return (history.spec, *select_checkpoint(history, data_by_tau[tau][1], metric))
 
     def trial_job(tau: float, metric: str, beta: float, seed: int) -> TrialOutcome:
-        _, val, test = pooled_by_tau[tau]
+        _, val, test = data_by_tau[tau]
         return evaluate_outcome(gerne_history(tau, seed, beta), val, test, metric)
 
     # every job is a pure function of its arguments, so two batches run on a
@@ -482,7 +513,7 @@ def run_experiment(
         best = scores.index(max(scores))  # a tie keeps the earlier grid entry
         beta_scores = dict(zip(grid, scores)) if config.beta is None else {}
         # the winner's outcome is trial 0; the other entries are never tested
-        tuned[tau, metric] = grid[best], beta_scores, _score_on_test(*entries[best], pooled_by_tau[tau][2])
+        tuned[tau, metric] = grid[best], beta_scores, _score_on_test(*entries[best], data_by_tau[tau][2])
     second = [
         partial(trial_job, tau, metric, tuned[tau, metric][0], seed)
         for tau, metric in gerne_cells for seed in seeds[1:]
@@ -490,7 +521,7 @@ def run_experiment(
     trials = iter(run_jobs(second))
 
     cells: list[CellReport] = []
-    for tau in pooled_by_tau:
+    for tau in data_by_tau:
         for method, metric in ROWS:
             if method == METHOD_ERM:
                 beta, beta_scores, outcomes = None, {}, list(next(erm_outcomes))

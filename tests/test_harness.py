@@ -3,8 +3,10 @@
 import builtins
 import csv
 import json
+import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from patchbias import harness, model, parallel, synthdata
@@ -92,8 +94,11 @@ def test_config_validation_names_the_field(mutate, message, tmp_path):
     mutate(cfg)
     path = tmp_path / "run.json"
     path.write_text(json.dumps(cfg))
+    config = harness.load_config(path)
+    # the stage validates before it writes anything
     with pytest.raises(ValidationError, match=message):
-        harness.load_config(path)
+        harness.cmd_generate(config, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_hash_ignores_key_order_and_out_root():
@@ -457,6 +462,8 @@ def test_run_manifest_tracks_every_stage(tiny_run):
         "train": parallel.pool_size(cfg["train"]["trials"] + len(cfg["patch"]["taus"])),
         "report": 1,
     }
+    for stage in doc["stages"].values():
+        assert isinstance(stage["peak_rss_mb"], float) and stage["peak_rss_mb"] > 0
 
 
 def test_results_json_has_no_timings(tiny_run):
@@ -494,6 +501,34 @@ def test_build_split_data_shares_pixels_across_thresholds(tiny_run):
     assert train1.groups is not train2.groups
     assert test1.size == len(by_split["test"])
     assert train1.size + val1.size + test1.size == 720
+
+
+def test_train_frees_the_raw_split_arrays_before_training(tiny_run, monkeypatch):
+    cfg, out = tiny_run
+    cfg = {**cfg, "model": {**cfg["model"], "pool_target": 16}}  # pool factor 2
+    real_build = harness.build_split_data
+    raw = []
+
+    class Stop(Exception):
+        pass
+
+    def build(config, out_root):
+        data_by_tau, by_split = real_build(config, out_root)
+        raw.extend(weakref.ref(split.x) for split in next(iter(data_by_tau.values())))
+        return data_by_tau, by_split
+
+    def check(model_spec, data_by_tau, config):
+        assert len(raw) == 3 and [ref() for ref in raw] == [None] * 3
+        pooled = (*model_spec.pooled_shape, model_spec.channels)
+        assert {(s.x.dtype, s.x.shape[1:]) for splits in data_by_tau.values() for s in splits} == {
+            (np.dtype(np.float64), pooled)
+        }
+        raise Stop
+
+    monkeypatch.setattr(harness, "build_split_data", build)
+    monkeypatch.setattr(harness, "run_experiment", check)
+    with pytest.raises(Stop):
+        harness.cmd_train(cfg, out)
 
 
 def test_build_split_data_detects_a_stale_index(tiny_run):
@@ -570,6 +605,57 @@ def test_cli_reports_a_malformed_patch_index(tmp_path, capsys):
         capsys.readouterr()
         assert cli_main(["analyze", "--config", str(path), "--out", str(out)]) == 2, name
         assert f"error: {index}:{lineno}: " in capsys.readouterr().err, name
+
+
+def test_each_cli_stage_validates_the_config_once(tiny_run, tmp_path, monkeypatch):
+    cfg, out = tiny_run
+    path = _write_config(tmp_path, cfg)
+    real = harness.validate_config
+    calls = []
+    monkeypatch.setattr(harness, "validate_config", lambda config: calls.append(config) or real(config))
+    for stage in ("generate", "patchify", "analyze", "train", "report"):
+        calls.clear()
+        assert cli_main([stage, "--config", str(path), "--out", str(out)]) == 0, stage
+        assert len(calls) == 1, stage
+
+
+def _malformed_manifests(manifest: Path) -> dict[str, str]:
+    good = manifest.read_text()
+    doc = json.loads(good)
+    first, rest = doc["images"][0], doc["images"][1:]
+    return {
+        "truncated": good[: len(good) // 2],
+        "missing key": json.dumps({**doc, "images": [{k: v for k, v in first.items() if k != "split"}] + rest}),
+        "unknown field": json.dumps({**doc, "images": [{**first, "stain": 1}] + rest}),
+        "unknown scene field": json.dumps({**doc, "images": [{**first, "spec": {**first["spec"], "x": 1}}] + rest}),
+    }
+
+
+def test_cli_patchify_reports_a_malformed_dataset_manifest(tmp_path, capsys):
+    path = _write_config(tmp_path, mini_config())
+    out = tmp_path / "run"
+    assert cli_main(["generate", "--config", str(path), "--out", str(out)]) == 0
+    manifest = out / "dataset" / "manifest.json"
+    for name, text in _malformed_manifests(manifest).items():
+        manifest.write_text(text)
+        capsys.readouterr()
+        assert cli_main(["patchify", "--config", str(path), "--out", str(out)]) == 2, name
+        assert f"error: dataset manifest {manifest} is malformed" in capsys.readouterr().err, name
+
+
+def test_cli_generate_replaces_a_malformed_dataset_manifest(tmp_path, capsys):
+    path = _write_config(tmp_path, mini_config())
+    out = tmp_path / "run"
+    assert cli_main(["generate", "--config", str(path), "--out", str(out)]) == 0
+    manifest = out / "dataset" / "manifest.json"
+    good = manifest.read_text()
+    for name, text in _malformed_manifests(manifest).items():
+        manifest.write_text(text)
+        capsys.readouterr()
+        assert cli_main(["generate", "--config", str(path), "--out", str(out)]) == 0, name
+        assert "generated 3 images" in capsys.readouterr().out, name
+        assert manifest.read_text() == good, name
+    assert cli_main(["patchify", "--config", str(path), "--out", str(out)]) == 0
 
 
 def test_cli_honors_the_output_env_var(tiny_run, tmp_path, monkeypatch):

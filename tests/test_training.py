@@ -370,26 +370,44 @@ def test_run_experiment_checks_groups_at_every_threshold_before_training(monkeyp
                        _experiment_config())
 
 
+def test_run_experiment_requires_pooled_splits_before_training(monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("train_history ran before the pooled-input check")
+
+    spec = ClassifierSpec(input_height=17, input_width=16, channels=1, k1=2, k2=3, pool_target=9, seed=0)
+    raw = (_split(48, 43, hw=(17, 16)), _split(32, 44, hw=(17, 16)), _split(32, 45, hw=(17, 16)))
+    monkeypatch.setattr(training, "train_history", no_training)
+    with pytest.raises(ValidationError, match="train split shape \\(48, 17, 16, 1\\) is not the pooled .*model.pool"):
+        run_experiment(spec, {0.1: raw}, _experiment_config())
+    # one raw split among pooled ones is named too
+    pooled = [SplitData(x=pool(spec, s.x), y=s.y, groups=s.groups) for s in raw]
+    with pytest.raises(ValidationError, match="test split shape .* model.pool"):
+        run_experiment(spec, {0.1: (*pooled[:2], raw[2])}, _experiment_config())
+
+
 @pytest.mark.parametrize("beta, trajectories", [(None, 10), (0.5, 6)])
 def test_run_experiment_trains_each_trajectory_once(monkeypatch, beta, trajectories):
-    calls, selected, tested = [], [], []
+    histories, selected, val_predicted, test_predicted = [], [], [], []
     real_train, real_select, real_predict = (
         training.train_history, training.select_checkpoint, training._predict_split
     )
     data = _two_thresholds()
-    test_x = pool(SPEC, data[0.1][2].x)  # the thresholds share it
+    _, val, test = data[0.1]  # the thresholds share the arrays
 
     def counted(*args, **kwargs):
-        calls.append((args[1], kwargs["seed"], kwargs.get("beta")))
-        return real_train(*args, **kwargs)
+        history = real_train(*args, **kwargs)
+        histories.append((args[1], kwargs["seed"], history))
+        return history
 
     def counted_select(history, val, eval_metric):
         selected.append(history)
         return real_select(history, val, eval_metric)
 
     def counted_predict(spec, params, x):
-        if np.array_equal(x, test_x):
-            tested.append(params)
+        if np.array_equal(x, val.x):
+            val_predicted.append(params)
+        elif np.array_equal(x, test.x):
+            test_predicted.append(params)
         return real_predict(spec, params, x)
 
     # the counters live in this process, so every job must run here
@@ -401,15 +419,21 @@ def test_run_experiment_trains_each_trajectory_once(monkeypatch, beta, trajector
     report = run_experiment(SPEC, data, config)
     # ERM once per seed for every threshold; per threshold, the grid at the first
     # seed (its winner is trial 0) plus the other seed, or one run per seed
-    assert len(calls) == trajectories
-    assert sorted(seed for method, seed, _ in calls if method == "erm") == [3, 4]
-    # the two ERM trajectories are selected once per (row, threshold), and every
-    # GERNE trajectory exactly once, the winning grid entry included
-    assert len(selected) == {None: 16, 0.5: 12}[beta]
-    assert len({id(h) for h in selected}) == trajectories
-    # the test split is predicted once for each outcome in a cell (6 cells x 2
-    # trials), never for a losing grid entry
-    assert len(tested) == 12
+    assert len(histories) == trajectories
+    assert sorted(seed for method, seed, _ in histories if method == "erm") == [3, 4]
+    # every epoch snapshot of every trajectory is predicted on validation exactly
+    # once, although each ERM trajectory serves 2 thresholds x 2 metrics
+    snapshots = [params for _, _, history in histories for params in history.snapshots]
+    assert len(snapshots) == 2 * trajectories
+    assert sorted(map(id, val_predicted)) == sorted(map(id, snapshots))
+    # every GERNE trajectory goes through select_checkpoint exactly once, the
+    # winning grid entry included; ERM selects from its own predictions
+    gerne = [history for method, _, history in histories if method == "gerne"]
+    assert sorted(map(id, selected)) == sorted(map(id, gerne))
+    # test is predicted once per (trajectory, chosen epoch) that enters a cell,
+    # never for a losing grid entry
+    chosen = {id(o.checkpoint.params) for cell in report.cells for o in cell.outcomes}
+    assert sorted(map(id, test_predicted)) == sorted(chosen)
     for tau in (0.1, 0.03):
         cell = report.cell("gerne", "wga", tau)
         assert [t.seed for t in cell.outcomes] == [3, 4]
