@@ -3,8 +3,8 @@
 # and, with --full, a run of the default config checked against the golden
 # fingerprint in ROADMAP.md.
 #
-#   scripts/verify.sh          # tier-1 tests + perfbench self-tests + demos (about 5 min on 2 cores)
-#   scripts/verify.sh --full   # also the default pipeline in a temporary out root (about 3 min more)
+#   scripts/verify.sh          # tier-1 tests + perfbench self-tests + demos (about 2.5 min on 2 cores)
+#   scripts/verify.sh --full   # also the default pipeline in a temporary out root (about 2 min more)
 #
 # Exits non-zero on the first failing step or on a fingerprint mismatch. The
 # fingerprint holds for numpy 2.4.6 with OpenBLAS 0.3.31 (SkylakeX core); the

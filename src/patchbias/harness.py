@@ -2,8 +2,9 @@
 
 One JSON config drives everything. Stages write under a single output root:
 
-    dataset/    images/, masks/, manifest.json, generate.json (skip marker)
-    patches/    patch_index.jsonl
+    dataset/    images/, masks/, manifest.json (a record, never read back),
+                generate.json (stamp)
+    patches/    patch_index.jsonl, patchify.json (stamp)
     analysis/   histogram CSVs, bias_tau*.json
     train/      <cell>/trial<k>/{epochs.csv, checkpoint.pbt, checkpoint.json,
                 test_predictions.csv}, results.json
@@ -13,6 +14,10 @@ One JSON config drives everything. Stages write under a single output root:
 The output root resolves as: explicit argument, then the PATCHBIAS_OUT
 environment variable, then config["out_root"]. The config hash covers every
 section except out_root, so moving a run does not change its identity.
+
+A stamp holds the hash of the config sections a stage's output was made
+from. The stage deletes it before it writes and writes it last, and the
+next stage reads that output only under a stamp that matches its own config.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ from .synthdata import (
     generate_corpus,
     load_scene,
     materialize,
+    scene_paths,
     split_counts,
 )
 from .training import ROWS, RunReport, SplitData, TrainConfig, row_label, run_experiment
@@ -232,10 +238,13 @@ def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _sha256(obj) -> str:
+    return hashlib.sha256(_canonical(obj).encode()).hexdigest()
+
+
 def config_hash(config: dict) -> str:
     """sha256 over the canonical config, out_root excluded; key order never matters."""
-    core = {k: v for k, v in config.items() if k != "out_root"}
-    return hashlib.sha256(_canonical(core).encode()).hexdigest()
+    return _sha256({k: v for k, v in config.items() if k != "out_root"})
 
 
 def resolve_out_root(config: dict, override: str | Path | None = None) -> Path:
@@ -251,12 +260,28 @@ def _stage_root(config: dict, out_root: str | Path | None) -> Path:
     """Validate the config, then resolve and create the stage's output root.
 
     This is the one validation of a stage, whether the CLI or a library
-    caller runs it, and it comes before anything is written.
+    caller runs it, and it comes before anything is written. A malformed
+    run manifest also stops the stage here, not after its work is done.
     """
     validate_config(config)
     root = resolve_out_root(config, out_root)
     root.mkdir(parents=True, exist_ok=True)
+    _read_run_manifest(root)
     return root
+
+
+def _read_run_manifest(out_root: Path) -> dict:
+    """The run manifest so far; one that is not a manifest this package wrote raises `ValidationError`."""
+    path = out_root / "run_manifest.json"
+    if not path.exists():
+        return {"stages": {}}
+    try:
+        doc = json.loads(path.read_text())
+    except ValueError:
+        doc = None
+    if not (isinstance(doc, dict) and isinstance(doc.get("stages"), dict)):
+        raise ValidationError(f"run manifest {path} is malformed; repair or delete it")
+    return doc
 
 
 def _update_run_manifest(
@@ -269,7 +294,7 @@ def _update_run_manifest(
     stages, the peak so far rather than this stage's own.
     """
     path = out_root / "run_manifest.json"
-    doc = json.loads(path.read_text()) if path.exists() else {"stages": {}}
+    doc = _read_run_manifest(out_root)
     doc["config_hash"] = config_hash(config)
     doc["version"] = __version__
     for rel in artifacts.values():
@@ -312,30 +337,31 @@ def scene_specs_from_config(dataset_cfg: dict) -> list[SceneSpec]:
     return specs
 
 
-def _dataset_hash(config: dict) -> str:
-    return hashlib.sha256(_canonical(config["dataset"]).encode()).hexdigest()
+def _require_stamp(path: Path, key: str, digest: str, error: str) -> None:
+    """Raise `ValidationError(error)` unless the stamp at `path` holds `digest` under `key`."""
+    try:
+        stamped = json.loads(path.read_text())[key]
+    except (OSError, ValueError, TypeError, KeyError):  # missing, or not a stamp this package wrote
+        stamped = None
+    if stamped != digest:
+        raise ValidationError(error)
 
 
 def _generated_manifest(config: dict, dataset_dir: Path) -> DatasetManifest:
     """The dataset manifest, once generate has finished for this config's dataset section.
 
-    generate deletes its marker before it renders and writes it last, so
-    without a matching marker the scenes may be partial or from another section.
+    Without a matching stamp the scenes may be partial or from another section.
+    The manifest is a pure function of that section, so it is derived here;
+    `manifest.json` is never read.
     """
-    manifest_path = dataset_dir / "manifest.json"
-    if not manifest_path.exists():
-        raise ValidationError(f"dataset manifest not found: {manifest_path}; run generate first")
-    marker_path = dataset_dir / "generate.json"
-    try:
-        stamped = json.loads(marker_path.read_text())["dataset_hash"]
-    except (OSError, ValueError, TypeError, KeyError):  # missing, or not a marker generate wrote
-        stamped = None
-    if stamped != _dataset_hash(config):
-        raise ValidationError(
-            f"the dataset under {dataset_dir} was not generated from this config's dataset section "
-            f"({marker_path} is missing or names another); run generate first"
-        )
-    return DatasetManifest.load(manifest_path)
+    stamp_path = dataset_dir / "generate.json"
+    _require_stamp(
+        stamp_path, "dataset_hash", _sha256(config["dataset"]),
+        f"the dataset under {dataset_dir} was not generated from this config's dataset section "
+        f"({stamp_path} is missing or names another); run generate first",
+    )
+    dataset = config["dataset"]
+    return generate_corpus(scene_specs_from_config(dataset), tuple(dataset["split_fractions"]))
 
 
 def cmd_generate(config: dict, out_root: str | Path | None) -> Path:
@@ -352,14 +378,14 @@ def cmd_generate(config: dict, out_root: str | Path | None) -> Path:
         return dataset_dir
     if missing:
         print(f"dataset under {dataset_dir} is missing {len(missing)} files, regenerating")
-    marker_path = dataset_dir / "generate.json"
-    # an interrupted run must not leave a marker that vouches for partial files
-    marker_path.unlink(missing_ok=True)
+    stamp_path = dataset_dir / "generate.json"
+    # an interrupted run must not leave a stamp that vouches for partial files
+    stamp_path.unlink(missing_ok=True)
     specs = scene_specs_from_config(config["dataset"])
     manifest = generate_corpus(specs, tuple(config["dataset"]["split_fractions"]))
     materialize(manifest, dataset_dir)
-    write_atomic(marker_path, json.dumps(
-        {"dataset_hash": _dataset_hash(config), "images": len(specs)}, indent=2, sort_keys=True
+    write_atomic(stamp_path, json.dumps(
+        {"dataset_hash": _sha256(config["dataset"]), "images": len(specs)}, indent=2, sort_keys=True
     ))
     _update_run_manifest(
         out_root, config, "generate",
@@ -375,8 +401,8 @@ def _missing_dataset_files(manifest: DatasetManifest, dataset_dir: Path) -> list
     return [
         f"{entry.image_id}: {rel}"
         for entry in manifest.entries
-        for rel in (entry.image_path, entry.mask_path)
-        if rel is None or not (dataset_dir / rel).exists()
+        for rel in scene_paths(entry.image_id)
+        if not (dataset_dir / rel).exists()
     ]
 
 
@@ -425,9 +451,14 @@ def cmd_patchify(config: dict, out_root: str | Path | None) -> Path:
     patches_dir = out_root / "patches"
     patches_dir.mkdir(parents=True, exist_ok=True)
     index_path = patches_dir / "patch_index.jsonl"
+    stamp_path = patches_dir / "patchify.json"
+    # the index is replaced before the stamp is written, so an old stamp must
+    # not outlive a run that fails between the two
+    stamp_path.unlink(missing_ok=True)
     n = write_patch_index(
         (record for record, _ in _iter_patch_records(config, manifest, dataset_dir)), index_path
     )
+    write_atomic(stamp_path, json.dumps({"dataset_patch_hash": _patch_hash(config)}, indent=2, sort_keys=True))
     _update_run_manifest(
         out_root, config, "patchify",
         {"patch_index": "patches/patch_index.jsonl"},
@@ -435,6 +466,22 @@ def cmd_patchify(config: dict, out_root: str | Path | None) -> Path:
     )
     print(f"wrote {n} patch records to {index_path}")
     return index_path
+
+
+def _patch_hash(config: dict) -> str:
+    return _sha256([config["dataset"], config["patch"]])
+
+
+def _patchified_index(config: dict, out_root: Path) -> list[PatchRecord]:
+    """The patch index, once patchify has finished for this config's dataset and patch sections."""
+    patches_dir = out_root / "patches"
+    stamp_path = patches_dir / "patchify.json"
+    _require_stamp(
+        stamp_path, "dataset_patch_hash", _patch_hash(config),
+        f"the patch index under {patches_dir} was not built from this config's dataset and patch "
+        f"sections ({stamp_path} is missing or names others); re-run patchify",
+    )
+    return read_patch_index(patches_dir / "patch_index.jsonl")
 
 
 def _read_predictions_csv(path: Path) -> dict[tuple[str, int, int], int]:
@@ -449,10 +496,17 @@ def _read_predictions_csv(path: Path) -> dict[tuple[str, int, int], int]:
         if reader.fieldnames is None or not needed.issubset(reader.fieldnames):
             raise ValidationError(f"predictions file {path} must have columns {sorted(needed)}")
         for row in reader:
-            key = (row["image_id"], int(row["grid_row"]), int(row["grid_col"]))
+            where = f"{path}:{reader.line_num}"
+            try:
+                key = (row["image_id"], int(row["grid_row"]), int(row["grid_col"]))
+                pred = int(row["pred"])
+            except (TypeError, ValueError):  # a non-integer value, or a short row's None
+                raise ValidationError(f"{where}: grid_row, grid_col and pred must be integers") from None
+            if pred not in (0, 1):
+                raise ValidationError(f"{where}: pred must be 0 or 1, got {pred}")
             if key in preds:
-                raise ValidationError(f"duplicate prediction for patch {key}")
-            preds[key] = int(row["pred"])
+                raise ValidationError(f"{where}: duplicate prediction for patch {key}")
+            preds[key] = pred
     return preds
 
 
@@ -460,8 +514,7 @@ def cmd_analyze(config: dict, out_root: str | Path | None, predictions: str | Pa
     """Composition histograms and bias reports on one split, optionally overlaying predictions."""
     out_root = _stage_root(config, out_root)
     started = time.monotonic()
-    index_path = out_root / "patches" / "patch_index.jsonl"
-    records = read_patch_index(index_path)
+    records = _patchified_index(config, out_root)
     split = config["analysis"]["split"]
     subset = [r for r in records if r.split == split]
     if not subset:
@@ -525,8 +578,7 @@ def build_split_data(
     """
     dataset_dir = out_root / "dataset"
     manifest = _generated_manifest(config, dataset_dir)
-    index_path = out_root / "patches" / "patch_index.jsonl"
-    stored = read_patch_index(index_path)
+    stored = _patchified_index(config, out_root)
     taus = config["patch"]["taus"]
 
     by_split: dict[str, list[PatchRecord]] = {s: [] for s in SPLITS}

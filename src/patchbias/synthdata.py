@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import partial
 from pathlib import Path
@@ -124,19 +124,18 @@ def _ellipse_mask(
 
 def _place_tumor_blobs(
     spec: SceneSpec, rng: np.random.Generator
-) -> tuple[np.ndarray, list[np.ndarray], list[tuple[float, float, float, float, float]]]:
+) -> tuple[np.ndarray, list[tuple[float, float, float, float, float]]]:
     """Rasterize tumor ellipses, rescaling until coverage lands near the target.
 
-    Returns (union mask, per-blob masks, per-blob (cy, cx, a, b, angle))."""
+    Returns (union mask, per-blob (cy, cx, a, b, angle))."""
     h, w = spec.height, spec.width
     area = h * w
     target = spec.tumor_coverage * area
 
     if spec.tumor_blob_count == 0 or target <= 0:
-        return np.zeros((h, w), dtype=bool), [], []
+        return np.zeros((h, w), dtype=bool), []
     if spec.tumor_coverage >= 1.0:
-        full = np.ones((h, w), dtype=bool)
-        return full, [full.copy()], [(h / 2, w / 2, float(h + w), float(h + w), 0.0)]
+        return np.ones((h, w), dtype=bool), [(h / 2, w / 2, float(h + w), float(h + w), 0.0)]
 
     n = spec.tumor_blob_count
     weights = rng.uniform(0.5, 1.5, size=n)
@@ -148,27 +147,26 @@ def _place_tumor_blobs(
     angles = rng.uniform(0.0, math.pi, size=n)
 
     scale = 1.0
-    best: tuple[float, np.ndarray, list[np.ndarray], list] | None = None
+    best: tuple[float, np.ndarray, list] | None = None
     for _ in range(12):
-        blobs = []
+        union = np.zeros((h, w), dtype=bool)
         params = []
         for i in range(n):
             blob_area = target * weights[i] * scale**2
             b_ax = math.sqrt(blob_area / (math.pi * aspects[i]))
             a_ax = b_ax * aspects[i]
             params.append((centers[i, 0], centers[i, 1], a_ax, b_ax, angles[i]))
-            blobs.append(_ellipse_mask(h, w, *params[-1]))
-        union = np.logical_or.reduce(blobs) if blobs else np.zeros((h, w), dtype=bool)
+            union |= _ellipse_mask(h, w, *params[-1])
         actual = np.count_nonzero(union)
         rel = abs(actual - target) / target
         if best is None or rel < best[0]:
-            best = (rel, union, blobs, params)
+            best = (rel, union, params)
         if rel <= 0.02:
             break
         ratio = target / max(actual, 1.0)
         scale *= min(4.0, max(0.5, math.sqrt(ratio)))
     assert best is not None
-    return best[1], best[2], best[3]
+    return best[1], best[2]
 
 
 def _paint_healthy(
@@ -211,13 +209,14 @@ def _paint_healthy(
     return healthy
 
 
-def generate_scene_details(spec: SceneSpec) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Like generate_scene but also returns per-blob masks for geometry checks."""
+def generate_scene(spec: SceneSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Generate one scene as (H, W, M) float32 pixels in [0, 1] and an (H, W)
+    uint8 mask over TissueClass values; identical specs give bit-identical output."""
     spec.validate()
     h, w, m = spec.height, spec.width, spec.channels
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(spec.seed)))
 
-    tumor, blob_masks, blob_params = _place_tumor_blobs(spec, rng)
+    tumor, blob_params = _place_tumor_blobs(spec, rng)
     healthy = _paint_healthy(spec, rng, tumor, blob_params)
 
     mask = np.zeros((h, w), dtype=np.uint8)
@@ -248,15 +247,12 @@ def generate_scene_details(spec: SceneSpec) -> tuple[np.ndarray, np.ndarray, dic
         sig = planes[int(np.argmax(_class_profile(label, m)))]
         np.maximum(sig, floor, out=sig, where=regions[label])
 
-    details = {"tumor_blob_masks": blob_masks, "tumor_blob_params": blob_params}
-    return data.astype(np.float32), mask, details
+    return data.astype(np.float32), mask
 
 
-def generate_scene(spec: SceneSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Generate one scene as (H, W, M) float32 pixels in [0, 1] and an (H, W)
-    uint8 mask over TissueClass values; identical specs give bit-identical output."""
-    data, labels, _ = generate_scene_details(spec)
-    return data, labels
+def scene_paths(image_id: str) -> tuple[str, str]:
+    """The (image, mask) files of one scene, relative to the dataset directory."""
+    return f"images/{image_id}.pbt", f"masks/{image_id}.pbt"
 
 
 @dataclass
@@ -264,8 +260,6 @@ class ManifestEntry:
     image_id: str
     split: str
     spec: SceneSpec
-    image_path: str | None = None
-    mask_path: str | None = None
 
 
 @dataclass
@@ -274,25 +268,10 @@ class DatasetManifest:
 
     def to_dict(self) -> dict:
         images = [{**vars(e), "spec": vars(e.spec).copy()} for e in self.entries]
-        return {"format": "patchbias-dataset-manifest-v1", "images": images}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "DatasetManifest":
-        if doc.get("format") != "patchbias-dataset-manifest-v1":
-            raise ValidationError(f"unknown manifest format {doc.get('format')!r}")
-        entries = [ManifestEntry(**{**item, "spec": SceneSpec(**item["spec"])}) for item in doc["images"]]
-        return cls(entries=entries)
+        return {"format": "patchbias-dataset-manifest-v2", "images": images}
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True))
-
-    @classmethod
-    def load(cls, path: str | Path) -> "DatasetManifest":
-        """Read a saved manifest; bad JSON or a missing or unknown field raises `ValidationError`."""
-        try:
-            return cls.from_dict(json.loads(Path(path).read_text()))
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:  # ValidationError is a ValueError
-            raise ValidationError(f"dataset manifest {path} is malformed ({exc!r}); run generate again") from None
 
 
 def split_counts(n_images: int, fractions: tuple[float, float, float]) -> tuple[int, int, int]:
@@ -331,33 +310,30 @@ def generate_corpus(
     ])
 
 
-def _render(entry: ManifestEntry, out: Path) -> ManifestEntry:
-    """Render one scene, write its pixels and mask under `out`, and return its entry with both paths."""
+def _render(entry: ManifestEntry, out: Path) -> None:
+    """Render one scene and write its pixels and mask under `out`."""
     data, labels = generate_scene(entry.spec)
-    image_rel = f"images/{entry.image_id}.pbt"
-    mask_rel = f"masks/{entry.image_id}.pbt"
+    image_rel, mask_rel = scene_paths(entry.image_id)
     write_tensor(out / image_rel, data)
     write_tensor(out / mask_rel, labels)
-    return replace(entry, image_path=image_rel, mask_path=mask_rel)
 
 
-def materialize(manifest: DatasetManifest, out_dir: str | Path) -> DatasetManifest:
-    """Render every scene to PBTENSR1 files under `out_dir`, one job per scene, and save the manifest."""
+def materialize(manifest: DatasetManifest, out_dir: str | Path) -> None:
+    """Render every scene to PBTENSR1 files under `out_dir`, one job per scene, and save the manifest.
+
+    The saved manifest is a record for readers: nothing in the package reads it back.
+    """
     out = Path(out_dir)
     (out / "images").mkdir(parents=True, exist_ok=True)
     (out / "masks").mkdir(parents=True, exist_ok=True)
-    entries = run_jobs([partial(_render, entry, out) for entry in manifest.entries])
-    result = DatasetManifest(entries=entries)
-    result.save(out / "manifest.json")
-    return result
+    run_jobs([partial(_render, entry, out) for entry in manifest.entries])
+    manifest.save(out / "manifest.json")
 
 
-def load_scene(manifest_dir: str | Path, entry: ManifestEntry) -> tuple[np.ndarray, np.ndarray]:
+def load_scene(dataset_dir: str | Path, entry: ManifestEntry) -> tuple[np.ndarray, np.ndarray]:
     """Read one materialized (pixels, mask) pair back from disk."""
-    if entry.image_path is None or entry.mask_path is None:
-        raise ValidationError(f"manifest entry {entry.image_id} has no stored paths")
-    root = Path(manifest_dir)
-    missing = [str(root / p) for p in (entry.image_path, entry.mask_path) if not (root / p).exists()]
+    image, mask = (Path(dataset_dir) / rel for rel in scene_paths(entry.image_id))
+    missing = [str(p) for p in (image, mask) if not p.exists()]
     if missing:
         raise ValidationError("missing dataset files: " + ", ".join(missing))
-    return read_tensor(root / entry.image_path), read_tensor(root / entry.mask_path)
+    return read_tensor(image), read_tensor(mask)

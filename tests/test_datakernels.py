@@ -22,8 +22,8 @@ from patchbias.synthdata import (
     TissueClass,
     _class_profile,
     _ellipse_mask,
+    _place_tumor_blobs,
     generate_scene,
-    generate_scene_details,
 )
 
 PROPERTY = settings(max_examples=80, deadline=None)
@@ -304,16 +304,18 @@ def test_ellipse_mask_matches_the_mgrid_oracle(height, width, cy, cx, a, b, angl
 
 
 def _assert_scene_matches_oracle(spec):
-    image, mask, details = generate_scene_details(spec)
+    image, mask = generate_scene(spec)
     data, labels, blob_masks, blob_params = _oracle_generate_scene_details(spec)
     assert image.dtype == np.float32 and image.tobytes() == data.tobytes()
     assert mask.dtype == np.uint8 and mask.tobytes() == labels.tobytes()
-    assert len(details["tumor_blob_masks"]) == len(blob_masks)
-    assert all(np.array_equal(x, y) for x, y in zip(details["tumor_blob_masks"], blob_masks))
-    assert details["tumor_blob_params"] == blob_params
-    public_image, public_mask = generate_scene(spec)
-    assert public_image.tobytes() == data.tobytes()
-    assert public_mask.tobytes() == labels.tobytes()
+    # the blob placement generate_scene starts with, rebuilt blob by blob from its parameters
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(spec.seed)))
+    tumor, params = _place_tumor_blobs(spec, rng)
+    assert np.array_equal(tumor, labels == TissueClass.TUMOR)
+    assert params == blob_params
+    rebuilt = [_ellipse_mask(spec.height, spec.width, *p) for p in params]
+    assert len(rebuilt) == len(blob_masks)
+    assert all(np.array_equal(x, y) for x, y in zip(rebuilt, blob_masks))
 
 
 @settings(max_examples=60, deadline=None)

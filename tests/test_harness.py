@@ -14,7 +14,7 @@ from patchbias.cli import main as cli_main
 from patchbias.errors import ValidationError
 from patchbias.model import load_checkpoint
 from patchbias.patchgrid import PatchGridSpec, partition
-from patchbias.synthdata import DatasetManifest, generate_scene
+from patchbias.synthdata import generate_scene
 
 
 def tiny_config():
@@ -275,7 +275,7 @@ def test_patchify_and_assembly_refuse_a_dataset_from_another_section(tmp_path, c
 def test_patch_index_matches_the_grid(tiny_run):
     cfg, out = tiny_run
     lines = (out / "patches" / "patch_index.jsonl").read_text().splitlines()
-    manifest = DatasetManifest.load(out / "dataset" / "manifest.json")
+    manifest = harness._generated_manifest(cfg, out / "dataset")
     grid = PatchGridSpec(cfg["patch"]["height"], cfg["patch"]["width"])
     expected = 0
     for entry in manifest.entries[:5]:
@@ -307,7 +307,10 @@ def test_interrupted_patchify_keeps_the_previous_index(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="read failed"):
         harness.cmd_patchify(cfg, tmp_path)
     assert index.read_bytes() == before
+    # the failed run deleted the stamp, so the kept index is no longer read
     assert [p.name for p in index.parent.iterdir()] == ["patch_index.jsonl"]
+    with pytest.raises(ValidationError, match=r"patchify.json is missing or names others\); re-run patchify"):
+        harness.cmd_analyze(cfg, tmp_path)
 
 
 def test_failed_analysis_write_keeps_the_previous_files(tiny_run, monkeypatch):
@@ -619,43 +622,100 @@ def test_each_cli_stage_validates_the_config_once(tiny_run, tmp_path, monkeypatc
         assert len(calls) == 1, stage
 
 
-def _malformed_manifests(manifest: Path) -> dict[str, str]:
+def _edit_manifest(manifest: Path, case: str) -> None:
+    """Delete the dataset record, make it malformed, or move the test image to train."""
+    if case == "deleted":
+        manifest.unlink()
+        return
     good = manifest.read_text()
     doc = json.loads(good)
     first, rest = doc["images"][0], doc["images"][1:]
-    return {
+    moved = [{**e, "split": "train"} if e["split"] == "test" else e for e in doc["images"]]
+    manifest.write_text({
         "truncated": good[: len(good) // 2],
         "missing key": json.dumps({**doc, "images": [{k: v for k, v in first.items() if k != "split"}] + rest}),
         "unknown field": json.dumps({**doc, "images": [{**first, "stain": 1}] + rest}),
         "unknown scene field": json.dumps({**doc, "images": [{**first, "spec": {**first["spec"], "x": 1}}] + rest}),
-    }
+        "test image moved to train": json.dumps({**doc, "images": moved}),
+    }[case])
 
 
-def test_cli_patchify_reports_a_malformed_dataset_manifest(tmp_path, capsys):
+@pytest.mark.parametrize("case", [
+    "truncated", "missing key", "unknown field", "unknown scene field", "deleted", "test image moved to train",
+])
+def test_patchify_reads_no_stored_dataset_manifest(tmp_path, capsys, case):
+    """The manifest is derived from the config, so editing manifest.json changes no patch."""
     path = _write_config(tmp_path, mini_config())
     out = tmp_path / "run"
     assert cli_main(["generate", "--config", str(path), "--out", str(out)]) == 0
-    manifest = out / "dataset" / "manifest.json"
-    for name, text in _malformed_manifests(manifest).items():
-        manifest.write_text(text)
-        capsys.readouterr()
-        assert cli_main(["patchify", "--config", str(path), "--out", str(out)]) == 2, name
-        assert f"error: dataset manifest {manifest} is malformed" in capsys.readouterr().err, name
-
-
-def test_cli_generate_replaces_a_malformed_dataset_manifest(tmp_path, capsys):
-    path = _write_config(tmp_path, mini_config())
-    out = tmp_path / "run"
-    assert cli_main(["generate", "--config", str(path), "--out", str(out)]) == 0
-    manifest = out / "dataset" / "manifest.json"
-    good = manifest.read_text()
-    for name, text in _malformed_manifests(manifest).items():
-        manifest.write_text(text)
-        capsys.readouterr()
-        assert cli_main(["generate", "--config", str(path), "--out", str(out)]) == 0, name
-        assert "generated 3 images" in capsys.readouterr().out, name
-        assert manifest.read_text() == good, name
     assert cli_main(["patchify", "--config", str(path), "--out", str(out)]) == 0
+    index = out / "patches" / "patch_index.jsonl"
+    before = index.read_bytes()
+    index.unlink()
+    _edit_manifest(out / "dataset" / "manifest.json", case)
+    capsys.readouterr()
+    assert cli_main(["generate", "--config", str(path), "--out", str(out)]) == 0
+    assert "skipping" in capsys.readouterr().out
+    assert cli_main(["patchify", "--config", str(path), "--out", str(out)]) == 0
+    assert index.read_bytes() == before
+
+
+@pytest.mark.parametrize("patch", [{"height": 24, "width": 24}, {"epsilon": 0.2}], ids=["size", "epsilon"])
+def test_analyze_and_assembly_refuse_an_index_from_another_patch_section(tmp_path, capsys, patch):
+    cfg = mini_config()
+    path = _write_config(tmp_path, cfg)
+    out = tmp_path / "run"
+    assert cli_main(["generate", "--config", str(path), "--out", str(out)]) == 0
+    assert cli_main(["patchify", "--config", str(path), "--out", str(out)]) == 0
+    changed = mini_config()
+    changed["patch"].update(patch)
+    changed_path = tmp_path / "changed.json"
+    changed_path.write_text(json.dumps(changed))
+    stamp = out / "patches" / "patchify.json"
+    capsys.readouterr()
+    assert cli_main(["analyze", "--config", str(changed_path), "--out", str(out)]) == 2
+    assert f"({stamp} is missing or names others); re-run patchify" in capsys.readouterr().err
+    assert not (out / "analysis").exists()
+    with pytest.raises(ValidationError, match="re-run patchify"):
+        harness.build_split_data(changed, out)
+    assert cli_main(["analyze", "--config", str(path), "--out", str(out)]) == 0
+
+
+def test_cli_analyze_rejects_malformed_predictions(tiny_run, tmp_path, capsys):
+    cfg, out = tiny_run
+    path = _write_config(tmp_path, cfg)
+    lines = (out / "train" / "erm_bca_tau0.1" / "trial0" / "test_predictions.csv").read_text().splitlines()
+    image_id, row, col, label, pred = lines[2].split(",")
+    cases = {
+        "non-integer pred": f"{image_id},{row},{col},{label},x",
+        "pred outside 0/1": f"{image_id},{row},{col},{label},2",
+        "negative pred": f"{image_id},{row},{col},{label},-1",
+        "non-integer grid_row": f"{image_id},{row}.5,{col},{label},{pred}",
+        "empty grid_col": f"{image_id},{row},,{label},{pred}",
+        "short row": f"{image_id},{row}",
+    }
+    bad = tmp_path / "predictions.csv"
+    for name, line in cases.items():
+        bad.write_text("\n".join(lines[:2] + [line] + lines[3:]) + "\n")
+        capsys.readouterr()
+        args = ["analyze", "--config", str(path), "--out", str(out), "--predictions", str(bad)]
+        assert cli_main(args) == 2, name
+        assert f"error: {bad}:3: " in capsys.readouterr().err, name
+
+
+def test_cli_stages_refuse_a_malformed_run_manifest_before_any_work(tmp_path, capsys):
+    path = _write_config(tmp_path, mini_config())
+    out = tmp_path / "run"
+    assert cli_main(["generate", "--config", str(path), "--out", str(out)]) == 0
+    manifest = out / "run_manifest.json"
+    for text in ("{", "[]", '{"stages": 1}', '{"config_hash": "x"}'):
+        manifest.write_text(text)
+        for stage in ("patchify", "train"):
+            capsys.readouterr()
+            assert cli_main([stage, "--config", str(path), "--out", str(out)]) == 2, (text, stage)
+            assert f"error: run manifest {manifest} is malformed" in capsys.readouterr().err, (text, stage)
+        assert sorted(p.name for p in out.iterdir()) == ["dataset", "run_manifest.json"], text
+        assert manifest.read_text() == text
 
 
 def test_cli_honors_the_output_env_var(tiny_run, tmp_path, monkeypatch):

@@ -7,14 +7,15 @@ import pytest
 from patchbias.errors import ValidationError
 from patchbias.synthdata import (
     SPLITS,
-    DatasetManifest,
     SceneSpec,
     TissueClass,
+    _ellipse_mask,
+    _place_tumor_blobs,
     generate_corpus,
     generate_scene,
-    generate_scene_details,
     load_scene,
     materialize,
+    scene_paths,
     split_counts,
 )
 
@@ -92,11 +93,13 @@ def test_noise_free_intensity_separation_has_zero_overlap():
 def test_tumor_blobs_are_convex_like():
     """Midpoints of random in-blob pixel pairs land inside the blob >= 95%."""
     rng = np.random.default_rng(0)
-    img, mask, details = generate_scene_details(
-        spec(seed=21, tumor_blob_count=2, tumor_coverage=0.2, healthy_coverage=0.0)
-    )
+    s = spec(seed=21, tumor_blob_count=2, tumor_coverage=0.2, healthy_coverage=0.0)
+    # the blobs are rebuilt from the parameters the scene was drawn with
+    tumor, params = _place_tumor_blobs(s, np.random.Generator(np.random.PCG64(np.random.SeedSequence(s.seed))))
+    _, mask = generate_scene(s)
+    assert np.array_equal(tumor, mask == TissueClass.TUMOR)
     checked = 0
-    for blob in details["tumor_blob_masks"]:
+    for blob in (_ellipse_mask(s.height, s.width, *p) for p in params):
         ys, xs = np.nonzero(blob)
         if ys.size < 2:
             continue
@@ -172,19 +175,10 @@ def test_generate_corpus_rejects_empty_and_duplicate_seeds():
         generate_corpus([spec(seed=1), spec(seed=1)], (1.0, 0.0, 0.0))
 
 
-def test_manifest_round_trip(tmp_path):
-    manifest = generate_corpus([spec(seed=i) for i in range(4)], (0.5, 0.25, 0.25))
-    path = tmp_path / "manifest.json"
-    manifest.save(path)
-    back = DatasetManifest.load(path)
-    assert back.to_dict() == manifest.to_dict()
-    assert [e.split for e in back.entries] == [e.split for e in manifest.entries]
-
-
 def test_materialize_and_load_scene_round_trip(tmp_path):
     manifest = generate_corpus([spec(seed=i, height=64, width=64) for i in range(3)], (1.0, 0.0, 0.0))
-    stored = materialize(manifest, tmp_path)
-    for entry in stored.entries:
+    materialize(manifest, tmp_path)
+    for entry in manifest.entries:
         image, mask = load_scene(tmp_path, entry)
         fresh_img, fresh_mask = generate_scene(entry.spec)
         assert np.array_equal(image, fresh_img)
@@ -193,11 +187,12 @@ def test_materialize_and_load_scene_round_trip(tmp_path):
 
 def test_load_scene_reports_missing_files(tmp_path):
     manifest = generate_corpus([spec(seed=1, height=64, width=64)], (1.0, 0.0, 0.0))
-    stored = materialize(manifest, tmp_path)
-    victim = tmp_path / stored.entries[0].image_path
+    materialize(manifest, tmp_path)
+    entry = manifest.entries[0]
+    victim = tmp_path / scene_paths(entry.image_id)[0]
     victim.unlink()
     with pytest.raises(ValidationError, match=str(victim)):
-        load_scene(tmp_path, stored.entries[0])
+        load_scene(tmp_path, entry)
 
 
 def test_splits_are_train_val_test():
