@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Verify a checkout: the tier-1 tests, the benchmark self-tests, the demos
-# and, with --full, a run of the default config checked against the golden
-# fingerprint in ROADMAP.md.
+# Verify a checkout: the tier-1 tests, the benchmark self-tests, the
+# benchmark's output check on every workload, the demos and, with --full, a
+# run of the default config checked against the golden fingerprint in
+# ROADMAP.md.
 #
-#   scripts/verify.sh          # tier-1 tests + perfbench self-tests + demos (about 2.5 min on 2 cores)
+#   scripts/verify.sh          # tier-1 tests + perfbench self-tests and output check + demos (about 3 min on 2 cores)
 #   scripts/verify.sh --full   # also the default pipeline in a temporary out root (about 2 min more)
 #
 # Exits non-zero on the first failing step or on a fingerprint mismatch. The
@@ -28,6 +29,16 @@ echo "== tier-1 tests"
 python -m pytest -q --continue-on-collection-errors
 echo "== benchmark self-tests"
 python3 -m pytest perfbench -q
+# one short run per workload at seed 0, whose digest perfbench/golden.json
+# pins; the last line of a run reports whether every iteration's output matched
+echo "== benchmark output check"
+for workload in grid trajectory corpus; do
+  last=$(python3 perfbench/run.py --workload "$workload" --seed 0 --seconds 1 2>&1 | tail -n 1)
+  case "$last" in
+    *'"correct": true'*) echo "ok       $workload" ;;
+    *) echo "FAILED   $workload: $last" >&2; exit 1 ;;
+  esac
+done
 echo "== demos"
 for demo in demos/*.py; do
   echo "$demo"

@@ -9,7 +9,7 @@ worst-group and balanced-class accuracy.
 
 __version__ = "0.1.0"
 
-from .analysis import ConditionalHistogram, bias_report, histogram, overlay_predictions
+from .analysis import ConditionalHistogram, bias_report, histogram
 from .composition import (
     DEFAULT_TISSUE_EPSILON,
     GROUP_NAMES,
@@ -27,7 +27,6 @@ from .records import PatchRecord, read_patch_index, tau_key, write_patch_index
 from .sampler import GroupedDataset, draw_biased, draw_erm, draw_less_biased, erm_steps_per_epoch
 from .synthdata import (
     SPLITS,
-    DatasetManifest,
     ManifestEntry,
     SceneSpec,
     TissueClass,
@@ -54,7 +53,7 @@ from .training import (
 
 __all__ = [
     "__version__",
-    "ConditionalHistogram", "bias_report", "histogram", "overlay_predictions",
+    "ConditionalHistogram", "bias_report", "histogram",
     "DEFAULT_TISSUE_EPSILON", "GROUP_NAMES", "PatchRatios", "assign_group",
     "binarize_spurious", "compute_ratios", "infer_tissue",
     "NonFiniteGradientError", "PatchBiasError", "ValidationError",
@@ -63,7 +62,7 @@ __all__ = [
     "Patch", "PatchGridSpec", "binary_label", "multilabel_vector", "partition",
     "PatchRecord", "read_patch_index", "tau_key", "write_patch_index",
     "GroupedDataset", "draw_biased", "draw_erm", "draw_less_biased", "erm_steps_per_epoch",
-    "SPLITS", "DatasetManifest", "ManifestEntry", "SceneSpec", "TissueClass",
+    "SPLITS", "ManifestEntry", "SceneSpec", "TissueClass",
     "generate_corpus", "generate_scene", "load_scene", "materialize", "split_counts",
     "read_tensor", "write_tensor",
     "CellReport", "RunReport", "SplitData", "TrainConfig", "TrialOutcome",

@@ -1,18 +1,18 @@
-"""Descriptive statistics over patch records: ratio histograms, prediction
-overlays, and label/proxy co-occurrence summaries.
+"""Descriptive statistics over patch records: ratio histograms with an
+optional prediction overlay, and label/proxy co-occurrence summaries.
 
 Histograms bin a composition ratio over [0, 1] conditioned on the patch
 label. Bins are half-open [a, b) with the last bin closed, so a ratio
 exactly on an interior edge lands in the right-hand bin. Records whose ratio
 is undefined (tumor share of tissue on a patch with no tissue) are excluded
-and counted. An overlay splits each bin's records into correctly and
-incorrectly classified fractions for a given prediction vector.
+and counted. Given a prediction per record, a histogram also splits each
+bin's records into correctly and incorrectly classified fractions.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -41,9 +41,6 @@ class ConditionalHistogram:
     mass: np.ndarray  # (n_bins,) float, sums to 1 unless empty
     n_matching: int
     n_excluded: int  # matching records with an undefined ratio
-    n_records_total: int
-    record_indices: np.ndarray  # positions in the input record list, per binned record
-    record_bins: np.ndarray  # bin index per binned record
     correct_fraction: np.ndarray | None = None
     incorrect_fraction: np.ndarray | None = None
 
@@ -63,19 +60,28 @@ def histogram(
     ratio_kind: str,
     condition_label: int,
     n_bins: int = 20,
+    preds: np.ndarray | None = None,
 ) -> ConditionalHistogram:
-    """Distribution of one ratio over records with the given label."""
+    """Distribution of one ratio over records with the given label.
+
+    With `preds`, one prediction per record aligned index for index with
+    `records`, each bin also gets the fractions of its records predicted
+    correctly and incorrectly; bins with no records get NaN fractions.
+    """
     if ratio_kind not in RATIO_KINDS:
         raise ValidationError(f"unknown ratio kind {ratio_kind!r}, expected one of {RATIO_KINDS}")
     if condition_label not in (0, 1):
         raise ValidationError(f"condition label must be 0 or 1, got {condition_label}")
     if n_bins < 1:
         raise ValidationError("n_bins must be >= 1")
+    if preds is not None:
+        preds = np.asarray(preds)
+        if preds.shape != (len(records),):
+            raise ValidationError(f"predictions must have shape ({len(records)},) to align with the records")
 
     edges = np.arange(n_bins + 1, dtype=np.float64) / n_bins
     counts = np.zeros(n_bins, dtype=np.int64)
-    indices: list[int] = []
-    bins: list[int] = []
+    correct = np.zeros(n_bins, dtype=np.int64)
     excluded = 0
     for pos, record in enumerate(records):
         if record.label != condition_label:
@@ -88,11 +94,16 @@ def histogram(
             raise ValidationError(f"ratio {value} outside [0, 1] for record at position {pos}")
         b = bin_index(value, edges)
         counts[b] += 1
-        indices.append(pos)
-        bins.append(b)
+        if preds is not None and preds[pos] == record.label:
+            correct[b] += 1
 
     total = int(counts.sum())
     mass = counts / total if total else np.zeros(n_bins, dtype=np.float64)
+    correct_fraction = incorrect_fraction = None
+    if preds is not None:
+        with np.errstate(invalid="ignore"):
+            correct_fraction = correct / counts
+        incorrect_fraction = np.where(counts > 0, 1.0 - correct_fraction, np.nan)
     return ConditionalHistogram(
         condition_label=condition_label,
         bin_edges=edges,
@@ -100,37 +111,9 @@ def histogram(
         mass=mass,
         n_matching=total + excluded,
         n_excluded=excluded,
-        n_records_total=len(records),
-        record_indices=np.asarray(indices, dtype=np.int64),
-        record_bins=np.asarray(bins, dtype=np.int64),
+        correct_fraction=correct_fraction,
+        incorrect_fraction=incorrect_fraction,
     )
-
-
-def overlay_predictions(
-    hist: ConditionalHistogram, preds: np.ndarray, labels: np.ndarray
-) -> ConditionalHistogram:
-    """Attach per-bin correct/incorrect fractions for a classifier's predictions.
-
-    preds and labels must align, index for index, with the record list the
-    histogram was built from. Bins with no records get NaN fractions.
-    """
-    preds = np.asarray(preds)
-    labels = np.asarray(labels)
-    if preds.shape != (hist.n_records_total,) or labels.shape != (hist.n_records_total,):
-        raise ValidationError(
-            f"predictions and labels must have shape ({hist.n_records_total},) to align with the records"
-        )
-    if hist.record_indices.size and not np.all(labels[hist.record_indices] == hist.condition_label):
-        raise ValidationError("labels do not match the histogram's conditioning; misaligned inputs?")
-
-    correct = np.zeros(hist.n_bins, dtype=np.int64)
-    for pos, b in zip(hist.record_indices, hist.record_bins):
-        if preds[pos] == labels[pos]:
-            correct[b] += 1
-    with np.errstate(invalid="ignore"):
-        frac = correct / hist.counts
-    incorrect = np.where(hist.counts > 0, 1.0 - frac, np.nan)
-    return replace(hist, correct_fraction=frac, incorrect_fraction=incorrect)
 
 
 def bias_report(records: list[PatchRecord], tau: float) -> dict:

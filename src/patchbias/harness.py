@@ -2,8 +2,7 @@
 
 One JSON config drives everything. Stages write under a single output root:
 
-    dataset/    images/, masks/, manifest.json (a record, never read back),
-                generate.json (stamp)
+    dataset/    images/, masks/, generate.json (stamp)
     patches/    patch_index.jsonl, patchify.json (stamp)
     analysis/   histogram CSVs, bias_tau*.json
     train/      <cell>/trial<k>/{epochs.csv, checkpoint.pbt, checkpoint.json,
@@ -18,6 +17,8 @@ section except out_root, so moving a run does not change its identity.
 A stamp holds the hash of the config sections a stage's output was made
 from. The stage deletes it before it writes and writes it last, and the
 next stage reads that output only under a stamp that matches its own config.
+`results.json` is train's stamp: report reads it only when it holds the
+hash of report's own config.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import bias_report, histogram, overlay_predictions, write_histogram_csv
+from .analysis import bias_report, histogram, write_histogram_csv
 from .atomicio import atomic_dir, atomic_path, write_atomic
 from .composition import assign_group, binarize_spurious, compute_ratios, infer_tissue
 from .errors import ValidationError, is_int, is_number
@@ -46,7 +47,7 @@ from .records import PatchRecord, read_patch_index, tau_key, write_patch_index
 from .synthdata import (
     _MAX_BACKGROUND_CAP,
     SPLITS,
-    DatasetManifest,
+    ManifestEntry,
     SceneSpec,
     generate_corpus,
     load_scene,
@@ -287,7 +288,8 @@ def _read_run_manifest(out_root: Path) -> dict:
 def _update_run_manifest(
     out_root: Path, config: dict, stage: str, artifacts: dict, seconds: float, workers: int = 1
 ) -> None:
-    """Record a finished stage: when, how long, on how many processes, its peak memory, and what it wrote.
+    """Record a finished stage: its config's hash, when, how long, on how many processes, its peak memory,
+    and what it wrote.
 
     `peak_rss_mb` is the stage process's `ru_maxrss`: the calling process only,
     not the helpers `run_jobs` forks, and, when one process runs several
@@ -295,12 +297,12 @@ def _update_run_manifest(
     """
     path = out_root / "run_manifest.json"
     doc = _read_run_manifest(out_root)
-    doc["config_hash"] = config_hash(config)
     doc["version"] = __version__
     for rel in artifacts.values():
         if not (out_root / rel).exists():
             raise ValidationError(f"manifest would reference a missing artifact: {rel}")
     doc["stages"][stage] = {
+        "config_hash": config_hash(config),
         "completed_utc": datetime.now(timezone.utc).isoformat(),
         "seconds": round(seconds, 3),
         "workers": workers,
@@ -337,22 +339,22 @@ def scene_specs_from_config(dataset_cfg: dict) -> list[SceneSpec]:
     return specs
 
 
-def _require_stamp(path: Path, key: str, digest: str, error: str) -> None:
-    """Raise `ValidationError(error)` unless the stamp at `path` holds `digest` under `key`."""
+def _require_stamp(path: Path, key: str, digest: str, error: str) -> dict:
+    """The stamp at `path`; raise `ValidationError(error)` unless it holds `digest` under `key`."""
     try:
-        stamped = json.loads(path.read_text())[key]
+        doc = json.loads(path.read_text())
+        stamped = doc[key]
     except (OSError, ValueError, TypeError, KeyError):  # missing, or not a stamp this package wrote
         stamped = None
     if stamped != digest:
         raise ValidationError(error)
+    return doc
 
 
-def _generated_manifest(config: dict, dataset_dir: Path) -> DatasetManifest:
-    """The dataset manifest, once generate has finished for this config's dataset section.
+def _require_generated(config: dict, dataset_dir: Path) -> None:
+    """Raise unless generate has finished under `dataset_dir` for this config's dataset section.
 
     Without a matching stamp the scenes may be partial or from another section.
-    The manifest is a pure function of that section, so it is derived here;
-    `manifest.json` is never read.
     """
     stamp_path = dataset_dir / "generate.json"
     _require_stamp(
@@ -360,6 +362,10 @@ def _generated_manifest(config: dict, dataset_dir: Path) -> DatasetManifest:
         f"the dataset under {dataset_dir} was not generated from this config's dataset section "
         f"({stamp_path} is missing or names another); run generate first",
     )
+
+
+def _corpus(config: dict) -> list[ManifestEntry]:
+    """Each image's id, split and scene recipe: a pure function of the dataset section, never stored."""
     dataset = config["dataset"]
     return generate_corpus(scene_specs_from_config(dataset), tuple(dataset["split_fractions"]))
 
@@ -369,10 +375,13 @@ def cmd_generate(config: dict, out_root: str | Path | None) -> Path:
     out_root = _stage_root(config, out_root)
     started = time.monotonic()
     dataset_dir = out_root / "dataset"
+    entries = _corpus(config)
     try:
-        missing = _missing_dataset_files(_generated_manifest(config, dataset_dir), dataset_dir)
+        _require_generated(config, dataset_dir)
     except ValidationError:  # not generated, interrupted, or from another dataset section
         missing = None
+    else:
+        missing = _missing_dataset_files(entries, dataset_dir)
     if missing == []:
         print(f"dataset already generated under {dataset_dir}, skipping")
         return dataset_dir
@@ -381,40 +390,37 @@ def cmd_generate(config: dict, out_root: str | Path | None) -> Path:
     stamp_path = dataset_dir / "generate.json"
     # an interrupted run must not leave a stamp that vouches for partial files
     stamp_path.unlink(missing_ok=True)
-    specs = scene_specs_from_config(config["dataset"])
-    manifest = generate_corpus(specs, tuple(config["dataset"]["split_fractions"]))
-    materialize(manifest, dataset_dir)
-    write_atomic(stamp_path, json.dumps(
-        {"dataset_hash": _sha256(config["dataset"]), "images": len(specs)}, indent=2, sort_keys=True
-    ))
+    materialize(entries, dataset_dir)
+    write_atomic(stamp_path, json.dumps({"dataset_hash": _sha256(config["dataset"])}, indent=2, sort_keys=True))
     _update_run_manifest(
         out_root, config, "generate",
-        {"dataset_manifest": "dataset/manifest.json"},
-        time.monotonic() - started, pool_size(len(specs)),
+        {"generate_stamp": "dataset/generate.json"},
+        time.monotonic() - started, pool_size(len(entries)),
     )
-    print(f"generated {len(specs)} images under {dataset_dir}")
+    print(f"generated {len(entries)} images under {dataset_dir}")
     return dataset_dir
 
 
-def _missing_dataset_files(manifest: DatasetManifest, dataset_dir: Path) -> list[str]:
-    """"<image_id>: <path>" for every image or mask the manifest names that is not on disk."""
+def _missing_dataset_files(entries: list[ManifestEntry], dataset_dir: Path) -> list[str]:
+    """"<image_id>: <path>" for every image or mask of the corpus that is not on disk."""
     return [
         f"{entry.image_id}: {rel}"
-        for entry in manifest.entries
+        for entry in entries
         for rel in scene_paths(entry.image_id)
         if not (dataset_dir / rel).exists()
     ]
 
 
-def _iter_patch_records(config: dict, manifest: DatasetManifest, dataset_dir: Path):
-    """Yield (record, patch) pairs across the corpus in manifest/grid order."""
+def _iter_patch_records(config: dict, dataset_dir: Path):
+    """Yield (record, patch) pairs across the corpus in corpus/grid order."""
+    entries = _corpus(config)
     grid = PatchGridSpec(config["patch"]["height"], config["patch"]["width"])
     taus = config["patch"]["taus"]
     epsilon = config["patch"]["epsilon"]
-    missing = _missing_dataset_files(manifest, dataset_dir)
+    missing = _missing_dataset_files(entries, dataset_dir)
     if missing:
         raise ValidationError("missing dataset files: " + "; ".join(missing))
-    for entry in manifest.entries:
+    for entry in entries:
         image, mask = load_scene(dataset_dir, entry)
         for patch in partition(image, mask, grid):
             label = binary_label(patch.mask)
@@ -447,7 +453,7 @@ def cmd_patchify(config: dict, out_root: str | Path | None) -> Path:
     out_root = _stage_root(config, out_root)
     started = time.monotonic()
     dataset_dir = out_root / "dataset"
-    manifest = _generated_manifest(config, dataset_dir)
+    _require_generated(config, dataset_dir)
     patches_dir = out_root / "patches"
     patches_dir.mkdir(parents=True, exist_ok=True)
     index_path = patches_dir / "patch_index.jsonl"
@@ -456,7 +462,7 @@ def cmd_patchify(config: dict, out_root: str | Path | None) -> Path:
     # not outlive a run that fails between the two
     stamp_path.unlink(missing_ok=True)
     n = write_patch_index(
-        (record for record, _ in _iter_patch_records(config, manifest, dataset_dir)), index_path
+        (record for record, _ in _iter_patch_records(config, dataset_dir)), index_path
     )
     write_atomic(stamp_path, json.dumps({"dataset_patch_hash": _patch_hash(config)}, indent=2, sort_keys=True))
     _update_run_manifest(
@@ -521,11 +527,10 @@ def cmd_analyze(config: dict, out_root: str | Path | None, predictions: str | Pa
         raise ValidationError(f"no patch records in split {split!r}")
     n_bins = config["analysis"]["n_bins"]
 
-    pred_arr = label_arr = None
+    pred_arr = None
     if predictions is not None:
         by_key = _read_predictions_csv(Path(predictions))
         pred_arr = np.empty(len(subset), dtype=np.int64)
-        label_arr = np.empty(len(subset), dtype=np.int64)
         missing = []
         for i, rec in enumerate(subset):
             key = (rec.image_id, rec.grid_row, rec.grid_col)
@@ -533,7 +538,6 @@ def cmd_analyze(config: dict, out_root: str | Path | None, predictions: str | Pa
                 missing.append(key)
                 continue
             pred_arr[i] = by_key[key]
-            label_arr[i] = rec.label
         if missing:
             raise ValidationError(
                 f"predictions cover {len(by_key)} patches but miss {len(missing)} "
@@ -547,9 +551,7 @@ def cmd_analyze(config: dict, out_root: str | Path | None, predictions: str | Pa
     # previous version, so a failed write leaves no mix of two runs
     with ExitStack() as staged:
         for kind, label, filename in _HIST_FILES:
-            hist = histogram(subset, kind, label, n_bins)
-            if pred_arr is not None:
-                hist = overlay_predictions(hist, pred_arr, label_arr)
+            hist = histogram(subset, kind, label, n_bins, pred_arr)
             write_histogram_csv(hist, staged.enter_context(atomic_path(analysis_dir / filename)))
             artifacts[f"hist_{kind}"] = f"analysis/{filename}"
 
@@ -577,7 +579,7 @@ def build_split_data(
     to them, so `cmd_train` can replace each with its pooled copy and free it.
     """
     dataset_dir = out_root / "dataset"
-    manifest = _generated_manifest(config, dataset_dir)
+    _require_generated(config, dataset_dir)
     stored = _patchified_index(config, out_root)
     taus = config["patch"]["taus"]
 
@@ -589,7 +591,7 @@ def build_split_data(
     filled = dict.fromkeys(SPLITS, 0)
 
     cursor = 0
-    for record, patch in _iter_patch_records(config, manifest, dataset_dir):
+    for record, patch in _iter_patch_records(config, dataset_dir):
         if cursor >= len(stored):
             raise ValidationError("patch index is shorter than the dataset grid; re-run patchify")
         on_disk = stored[cursor]
@@ -692,13 +694,16 @@ def cmd_train(config: dict, out_root: str | Path | None) -> RunReport:
 
 
 def cmd_report(config: dict, out_root: str | Path | None) -> Path:
-    """Assemble the final results table from the train stage output."""
+    """Assemble the final results table from the train stage output made from this config."""
     out_root = _stage_root(config, out_root)
     started = time.monotonic()
     results_path = out_root / "train" / "results.json"
     if not results_path.exists():
         raise ValidationError(f"train results not found: {results_path}; run train first")
-    results = json.loads(results_path.read_text())
+    results = _require_stamp(
+        results_path, "config_hash", config_hash(config),
+        f"train results {results_path} were not made from this config; re-run train",
+    )
     taus = results["taus"]
     by_key = {(c["row"], tau_key(c["tau"])): c for c in results["cells"]}
 

@@ -8,9 +8,8 @@ can be told apart from background by channel intensity alone.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from functools import partial
 from pathlib import Path
@@ -262,18 +261,6 @@ class ManifestEntry:
     spec: SceneSpec
 
 
-@dataclass
-class DatasetManifest:
-    entries: list[ManifestEntry] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        images = [{**vars(e), "spec": vars(e.spec).copy()} for e in self.entries]
-        return {"format": "patchbias-dataset-manifest-v2", "images": images}
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True))
-
-
 def split_counts(n_images: int, fractions: tuple[float, float, float]) -> tuple[int, int, int]:
     """Largest-remainder apportionment of images over (train, val, test)."""
     if len(fractions) != len(SPLITS):
@@ -293,7 +280,7 @@ def split_counts(n_images: int, fractions: tuple[float, float, float]) -> tuple[
 
 def generate_corpus(
     specs: list[SceneSpec], split_fractions: tuple[float, float, float]
-) -> DatasetManifest:
+) -> list[ManifestEntry]:
     """Assign each scene spec to a split; images land in splits in list order."""
     if not specs:
         raise ValidationError("spec list is empty")
@@ -304,10 +291,10 @@ def generate_corpus(
         raise ValidationError("scene seeds must be unique within a corpus")
     counts = split_counts(len(specs), split_fractions)
     splits = [split for split, count in zip(SPLITS, counts) for _ in range(count)]
-    return DatasetManifest(entries=[
+    return [
         ManifestEntry(image_id=image_id, split=split, spec=spec)
         for image_id, split, spec in zip(ids, splits, specs)
-    ])
+    ]
 
 
 def _render(entry: ManifestEntry, out: Path) -> None:
@@ -318,16 +305,12 @@ def _render(entry: ManifestEntry, out: Path) -> None:
     write_tensor(out / mask_rel, labels)
 
 
-def materialize(manifest: DatasetManifest, out_dir: str | Path) -> None:
-    """Render every scene to PBTENSR1 files under `out_dir`, one job per scene, and save the manifest.
-
-    The saved manifest is a record for readers: nothing in the package reads it back.
-    """
+def materialize(entries: list[ManifestEntry], out_dir: str | Path) -> None:
+    """Render every scene to PBTENSR1 files under `out_dir`, one job per scene."""
     out = Path(out_dir)
     (out / "images").mkdir(parents=True, exist_ok=True)
     (out / "masks").mkdir(parents=True, exist_ok=True)
-    run_jobs([partial(_render, entry, out) for entry in manifest.entries])
-    manifest.save(out / "manifest.json")
+    run_jobs([partial(_render, entry, out) for entry in entries])
 
 
 def load_scene(dataset_dir: str | Path, entry: ManifestEntry) -> tuple[np.ndarray, np.ndarray]:

@@ -13,7 +13,7 @@ import pytest
 from test_golden import skip_unless_pinned_runtime
 
 from patchbias import harness
-from patchbias.analysis import histogram, overlay_predictions
+from patchbias.analysis import histogram
 from patchbias.composition import compute_ratios
 from patchbias.metrics import evaluate
 from patchbias.model import ClassifierSpec, init_params, loss_and_grad, relu_margin
@@ -304,14 +304,12 @@ def test_criterion_6_bias_visualization(default_run):
     cfg, out, report, _ = default_run
     _, by_split = harness.build_split_data(cfg, out)
     test_records = by_split["test"]
-    labels = np.array([r.label for r in test_records])
 
     cell = report.cell("erm", "bca", 0.1)
     fractions = []
     for outcome in cell.outcomes:
-        hist = histogram(test_records, "tumor", 1, n_bins=cfg["analysis"]["n_bins"])
-        overlay = overlay_predictions(hist, outcome.test_preds, labels)
-        fractions.append(overlay.correct_fraction)
+        hist = histogram(test_records, "tumor", 1, cfg["analysis"]["n_bins"], outcome.test_preds)
+        fractions.append(hist.correct_fraction)
     # filled bins are filled in every trial, so a plain mean keeps NaN only on empty bins
     avg = np.stack(fractions).mean(axis=0)
     filled = np.flatnonzero(~np.isnan(avg))

@@ -1,16 +1,18 @@
-"""Conditional ratio histograms, prediction overlays, and co-occurrence reports."""
+"""Conditional ratio histograms with prediction overlays, and co-occurrence reports."""
 
 import csv
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patchbias.analysis import (
+    RATIO_KINDS,
     bias_report,
     bin_index,
     histogram,
-    overlay_predictions,
     write_histogram_csv,
 )
 from patchbias.errors import ValidationError
@@ -90,7 +92,6 @@ def test_condition_filters_by_label():
     hist = histogram(recs, "tumor", 1, n_bins=2)
     assert hist.n_matching == 2
     assert hist.counts.tolist() == [2, 0]
-    assert hist.n_records_total == 3
 
 
 def test_undefined_ratios_are_excluded_and_counted():
@@ -128,10 +129,9 @@ def test_histogram_input_validation():
 
 def test_overlay_perfect_predictor():
     recs = _records_from_values([0.05, 0.4, 0.8, 0.9])
-    hist = histogram(recs, "tumor", 1, n_bins=4)
     labels = np.array([r.label for r in recs])
-    out = overlay_predictions(hist, labels.copy(), labels)
-    filled = hist.counts > 0
+    out = histogram(recs, "tumor", 1, n_bins=4, preds=labels)
+    filled = out.counts > 0
     assert np.all(out.correct_fraction[filled] == 1.0)
     assert np.all(out.incorrect_fraction[filled] == 0.0)
     assert np.all(np.isnan(out.correct_fraction[~filled]))
@@ -139,9 +139,7 @@ def test_overlay_perfect_predictor():
 
 def test_overlay_constant_wrong_predictor():
     recs = _records_from_values([0.1, 0.6])
-    hist = histogram(recs, "tumor", 1, n_bins=2)
-    labels = np.array([1, 1])
-    out = overlay_predictions(hist, np.zeros(2, dtype=int), labels)
+    out = histogram(recs, "tumor", 1, n_bins=2, preds=np.zeros(2, dtype=int))
     assert out.correct_fraction.tolist() == [0.0, 0.0]
     assert out.incorrect_fraction.tolist() == [1.0, 1.0]
 
@@ -149,34 +147,91 @@ def test_overlay_constant_wrong_predictor():
 def test_overlay_fractions_sum_to_one_on_filled_bins():
     rng = np.random.default_rng(12)
     recs = _records_from_values(rng.random(60))
-    hist = histogram(recs, "tumor", 1, n_bins=8)
-    labels = np.ones(60, dtype=int)
-    preds = rng.integers(0, 2, 60)
-    out = overlay_predictions(hist, preds, labels)
-    filled = hist.counts > 0
+    out = histogram(recs, "tumor", 1, n_bins=8, preds=rng.integers(0, 2, 60))
+    filled = out.counts > 0
     np.testing.assert_allclose(
         out.correct_fraction[filled] + out.incorrect_fraction[filled], 1.0, atol=1e-12
     )
-    # original histogram is untouched
-    assert hist.correct_fraction is None
+    # the counts and mass do not depend on the predictions
+    plain = histogram(recs, "tumor", 1, n_bins=8)
+    np.testing.assert_array_equal(out.counts, plain.counts)
+    np.testing.assert_array_equal(out.mass, plain.mass)
+    assert plain.correct_fraction is None and plain.incorrect_fraction is None
 
 
 def test_overlay_mixed_example_by_hand():
     recs = _records_from_values([0.1, 0.2, 0.9])
-    hist = histogram(recs, "tumor", 1, n_bins=2)
-    out = overlay_predictions(hist, np.array([1, 0, 1]), np.ones(3, dtype=int))
+    out = histogram(recs, "tumor", 1, n_bins=2, preds=np.array([1, 0, 1]))
     assert out.correct_fraction.tolist() == [0.5, 1.0]
     assert out.incorrect_fraction.tolist() == [0.5, 0.0]
 
 
 def test_overlay_rejects_misaligned_inputs():
     recs = _records_from_values([0.1, 0.9])
-    hist = histogram(recs, "tumor", 1, n_bins=2)
     with pytest.raises(ValidationError, match="shape"):
-        overlay_predictions(hist, np.zeros(3, dtype=int), np.ones(3, dtype=int))
-    # right length, but the labels disagree with the conditioning
-    with pytest.raises(ValidationError, match="misaligned"):
-        overlay_predictions(hist, np.ones(2, dtype=int), np.zeros(2, dtype=int))
+        histogram(recs, "tumor", 1, n_bins=2, preds=np.zeros(3, dtype=int))
+    with pytest.raises(ValidationError, match="shape"):
+        histogram(recs, "tumor", 1, n_bins=2, preds=np.zeros((2, 1), dtype=int))
+
+
+_FIELDS = {"tumor": "r_tumor", "tumor_tissue": "r_tumor_tissue", "tissue": "r_tissue"}
+
+
+@st.composite
+def _histogram_inputs(draw):
+    """Records whose ratios sit on the bin edges (k/n, 0, 1) or between them, or are undefined."""
+    n_bins = draw(st.integers(1, 12))
+    on_edge = st.integers(0, n_bins).map(lambda k: k / n_bins)
+    ratio = st.one_of(st.none(), on_edge, st.floats(0.0, 1.0))
+    rows = draw(st.lists(st.tuples(st.integers(0, 1), ratio, st.integers(0, 1)), max_size=40))
+    kind = draw(st.sampled_from(RATIO_KINDS))
+    records = [
+        _record(label, **{"r_tumor": 0.0, "r_tissue": 0.0, _FIELDS[kind]: value}, i=i)
+        for i, (label, value, _) in enumerate(rows)
+    ]
+    return records, kind, draw(st.integers(0, 1)), n_bins, np.array([p for *_, p in rows], dtype=np.int64)
+
+
+def _oracle(records, kind, condition, n_bins, preds):
+    """Counts and correct counts per bin by direct comparison with the edges k/n_bins."""
+    counts, correct = [0] * n_bins, [0] * n_bins
+    excluded = 0
+    for record, pred in zip(records, preds):
+        value = getattr(record, _FIELDS[kind])
+        if record.label != condition:
+            continue
+        if value is None:
+            excluded += 1
+            continue
+        b = next(
+            b for b in range(n_bins)
+            if b / n_bins <= value < (b + 1) / n_bins or (b == n_bins - 1 and value == 1.0)
+        )
+        counts[b] += 1
+        correct[b] += int(pred == record.label)
+    return counts, correct, excluded
+
+
+@settings(max_examples=200, deadline=None)
+@given(_histogram_inputs())
+def test_histogram_with_predictions_matches_a_brute_force_oracle(inputs):
+    records, kind, condition, n_bins, preds = inputs
+    counts, correct, excluded = _oracle(records, kind, condition, n_bins, preds)
+    total = sum(counts)
+    for given_preds in (None, preds):
+        hist = histogram(records, kind, condition, n_bins, given_preds)
+        assert hist.counts.tolist() == counts
+        assert hist.n_excluded == excluded and hist.n_matching == total + excluded
+        assert hist.mass.tolist() == [c / total if total else 0.0 for c in counts]
+        if given_preds is None:
+            assert hist.correct_fraction is None and hist.incorrect_fraction is None
+            continue
+        for b in range(n_bins):
+            if counts[b]:
+                assert hist.correct_fraction[b] == correct[b] / counts[b]
+                assert hist.incorrect_fraction[b] == 1.0 - correct[b] / counts[b]
+            else:
+                assert np.isnan(hist.correct_fraction[b]) and np.isnan(hist.incorrect_fraction[b])
 
 
 def test_bias_report_perfectly_aligned_proxy():
@@ -228,7 +283,7 @@ def test_histogram_csv_round_trip(tmp_path):
     assert float(rows[-1]["bin_right"]) == 1.0
     assert sum(float(r["mass"]) for r in rows) == pytest.approx(1.0, abs=1e-6)
 
-    out = overlay_predictions(hist, np.ones(4, dtype=int), np.ones(4, dtype=int))
+    out = histogram(recs, "tumor", 1, n_bins=4, preds=np.ones(4, dtype=int))
     withov = tmp_path / "overlay.csv"
     write_histogram_csv(out, withov)
     rows = list(csv.DictReader(withov.open()))

@@ -139,7 +139,8 @@ def test_generate_writes_corpus_and_skips_reruns(tmp_path, capsys):
     cfg = mini_config()
     harness.cmd_generate(cfg, tmp_path)
     dataset = tmp_path / "dataset"
-    assert (dataset / "manifest.json").exists()
+    # the scenes and the stamp; the corpus itself is derived, never stored
+    assert sorted(p.name for p in dataset.iterdir()) == ["generate.json", "images", "masks"]
     assert len(list((dataset / "images").glob("*.pbt"))) == 3
     assert len(list((dataset / "masks").glob("*.pbt"))) == 3
     capsys.readouterr()
@@ -242,7 +243,6 @@ def test_a_failed_regenerate_leaves_a_dataset_nothing_reads(tmp_path, monkeypatc
     with pytest.raises(OSError, match="disk full"):
         harness.cmd_generate(changed, tmp_path)
     # one scene is rewritten, the others are from the old section
-    assert (tmp_path / "dataset" / "manifest.json").exists()
     assert not (tmp_path / "dataset" / "generate.json").exists()
     for config in (cfg, changed):
         with pytest.raises(ValidationError, match="generate.json is missing or names another.*run generate first"):
@@ -275,10 +275,9 @@ def test_patchify_and_assembly_refuse_a_dataset_from_another_section(tmp_path, c
 def test_patch_index_matches_the_grid(tiny_run):
     cfg, out = tiny_run
     lines = (out / "patches" / "patch_index.jsonl").read_text().splitlines()
-    manifest = harness._generated_manifest(cfg, out / "dataset")
     grid = PatchGridSpec(cfg["patch"]["height"], cfg["patch"]["width"])
     expected = 0
-    for entry in manifest.entries[:5]:
+    for entry in harness._corpus(cfg)[:5]:
         image, mask = generate_scene(entry.spec)
         expected += len(partition(image, mask, grid))
     per_image = expected // 5
@@ -452,9 +451,10 @@ def test_report_table_layout(tiny_run):
 def test_run_manifest_tracks_every_stage(tiny_run):
     cfg, out = tiny_run
     doc = json.loads((out / "run_manifest.json").read_text())
-    assert doc["config_hash"] == harness.config_hash(cfg)
+    assert "config_hash" not in doc  # each stage records its own
     assert set(doc["stages"]) == {"generate", "patchify", "analyze", "train", "report"}
     for stage in doc["stages"].values():
+        assert stage["config_hash"] == harness.config_hash(cfg)
         for rel in stage["artifacts"].values():
             assert (out / rel).exists()
     # only generate (a job per scene) and train run jobs on a process pool; the
@@ -467,6 +467,40 @@ def test_run_manifest_tracks_every_stage(tiny_run):
     }
     for stage in doc["stages"].values():
         assert isinstance(stage["peak_rss_mb"], float) and stage["peak_rss_mb"] > 0
+
+
+def test_run_manifest_keeps_each_stages_config_hash(tmp_path):
+    cfg = mini_config()
+    harness.cmd_generate(cfg, tmp_path)
+    harness.cmd_patchify(cfg, tmp_path)
+    harness.cmd_analyze(cfg, tmp_path)
+    rerun = mini_config()
+    rerun["analysis"]["n_bins"] = cfg["analysis"]["n_bins"] + 1
+    harness.cmd_analyze(rerun, tmp_path)
+    stages = json.loads((tmp_path / "run_manifest.json").read_text())["stages"]
+    # the rerun relabels only its own entry, not the stages it did not run
+    assert {name: stage["config_hash"] for name, stage in stages.items()} == {
+        "generate": harness.config_hash(cfg),
+        "patchify": harness.config_hash(cfg),
+        "analyze": harness.config_hash(rerun),
+    }
+
+
+def test_run_manifest_names_only_existing_files_after_every_stage(tmp_path, capsys):
+    cfg = tiny_config()
+    cfg["train"]["epochs"] = 1
+    path = _write_config(tmp_path, cfg)
+    out = tmp_path / "run"
+    # the second generate finds the dataset complete and skips
+    for k, stage in enumerate(("generate", "generate", "patchify", "analyze", "train", "report")):
+        capsys.readouterr()
+        assert cli_main([stage, "--config", str(path), "--out", str(out)]) == 0, stage
+        assert ("skipping" in capsys.readouterr().out) == (k == 1), stage
+        doc = json.loads((out / "run_manifest.json").read_text())
+        for name, entry in doc["stages"].items():
+            for rel in entry["artifacts"].values():
+                assert (out / rel).exists(), (stage, name, rel)
+        assert not (out / "dataset" / "manifest.json").exists(), stage
 
 
 def test_results_json_has_no_timings(tiny_run):
@@ -622,44 +656,6 @@ def test_each_cli_stage_validates_the_config_once(tiny_run, tmp_path, monkeypatc
         assert len(calls) == 1, stage
 
 
-def _edit_manifest(manifest: Path, case: str) -> None:
-    """Delete the dataset record, make it malformed, or move the test image to train."""
-    if case == "deleted":
-        manifest.unlink()
-        return
-    good = manifest.read_text()
-    doc = json.loads(good)
-    first, rest = doc["images"][0], doc["images"][1:]
-    moved = [{**e, "split": "train"} if e["split"] == "test" else e for e in doc["images"]]
-    manifest.write_text({
-        "truncated": good[: len(good) // 2],
-        "missing key": json.dumps({**doc, "images": [{k: v for k, v in first.items() if k != "split"}] + rest}),
-        "unknown field": json.dumps({**doc, "images": [{**first, "stain": 1}] + rest}),
-        "unknown scene field": json.dumps({**doc, "images": [{**first, "spec": {**first["spec"], "x": 1}}] + rest}),
-        "test image moved to train": json.dumps({**doc, "images": moved}),
-    }[case])
-
-
-@pytest.mark.parametrize("case", [
-    "truncated", "missing key", "unknown field", "unknown scene field", "deleted", "test image moved to train",
-])
-def test_patchify_reads_no_stored_dataset_manifest(tmp_path, capsys, case):
-    """The manifest is derived from the config, so editing manifest.json changes no patch."""
-    path = _write_config(tmp_path, mini_config())
-    out = tmp_path / "run"
-    assert cli_main(["generate", "--config", str(path), "--out", str(out)]) == 0
-    assert cli_main(["patchify", "--config", str(path), "--out", str(out)]) == 0
-    index = out / "patches" / "patch_index.jsonl"
-    before = index.read_bytes()
-    index.unlink()
-    _edit_manifest(out / "dataset" / "manifest.json", case)
-    capsys.readouterr()
-    assert cli_main(["generate", "--config", str(path), "--out", str(out)]) == 0
-    assert "skipping" in capsys.readouterr().out
-    assert cli_main(["patchify", "--config", str(path), "--out", str(out)]) == 0
-    assert index.read_bytes() == before
-
-
 @pytest.mark.parametrize("patch", [{"height": 24, "width": 24}, {"epsilon": 0.2}], ids=["size", "epsilon"])
 def test_analyze_and_assembly_refuse_an_index_from_another_patch_section(tmp_path, capsys, patch):
     cfg = mini_config()
@@ -726,6 +722,20 @@ def test_cli_honors_the_output_env_var(tiny_run, tmp_path, monkeypatch):
     before = table.read_text()
     assert cli_main(["report", "--config", str(path)]) == 0
     assert table.read_text() == before
+
+
+@pytest.mark.parametrize("section, key", [("train", "epochs"), ("analysis", "n_bins")])
+def test_cli_report_refuses_results_from_another_config(tiny_run, tmp_path, capsys, section, key):
+    cfg, out = tiny_run
+    changed = json.loads(json.dumps(cfg))
+    changed[section][key] += 1  # results.json holds the whole config's hash, so any edit counts
+    path = _write_config(tmp_path, changed)
+    table, manifest = out / "report" / "final_table.csv", out / "run_manifest.json"
+    before = table.read_bytes(), manifest.read_bytes()
+    capsys.readouterr()
+    assert cli_main(["report", "--config", str(path), "--out", str(out)]) == 2
+    assert "were not made from this config; re-run train" in capsys.readouterr().err
+    assert (table.read_bytes(), manifest.read_bytes()) == before
 
 
 def test_report_requires_train_results(tmp_path):

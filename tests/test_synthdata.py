@@ -162,10 +162,10 @@ def test_split_counts_rejects_bad_fractions():
 
 def test_generate_corpus_assigns_in_list_order():
     specs = [spec(seed=i) for i in range(10)]
-    manifest = generate_corpus(specs, (0.8, 0.1, 0.1))
-    splits = [e.split for e in manifest.entries]
+    entries = generate_corpus(specs, (0.8, 0.1, 0.1))
+    splits = [e.split for e in entries]
     assert splits == ["train"] * 8 + ["val"] + ["test"]
-    assert [e.image_id for e in manifest.entries] == [f"img{i}" for i in range(10)]
+    assert [e.image_id for e in entries] == [f"img{i}" for i in range(10)]
 
 
 def test_generate_corpus_rejects_empty_and_duplicate_seeds():
@@ -176,9 +176,11 @@ def test_generate_corpus_rejects_empty_and_duplicate_seeds():
 
 
 def test_materialize_and_load_scene_round_trip(tmp_path):
-    manifest = generate_corpus([spec(seed=i, height=64, width=64) for i in range(3)], (1.0, 0.0, 0.0))
-    materialize(manifest, tmp_path)
-    for entry in manifest.entries:
+    entries = generate_corpus([spec(seed=i, height=64, width=64) for i in range(3)], (1.0, 0.0, 0.0))
+    materialize(entries, tmp_path)
+    # only the scenes are written: the corpus is derived, never stored
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["images", "masks"]
+    for entry in entries:
         image, mask = load_scene(tmp_path, entry)
         fresh_img, fresh_mask = generate_scene(entry.spec)
         assert np.array_equal(image, fresh_img)
@@ -186,9 +188,8 @@ def test_materialize_and_load_scene_round_trip(tmp_path):
 
 
 def test_load_scene_reports_missing_files(tmp_path):
-    manifest = generate_corpus([spec(seed=1, height=64, width=64)], (1.0, 0.0, 0.0))
-    materialize(manifest, tmp_path)
-    entry = manifest.entries[0]
+    [entry] = generate_corpus([spec(seed=1, height=64, width=64)], (1.0, 0.0, 0.0))
+    materialize([entry], tmp_path)
     victim = tmp_path / scene_paths(entry.image_id)[0]
     victim.unlink()
     with pytest.raises(ValidationError, match=str(victim)):
