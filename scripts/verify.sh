@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Verify a checkout: the tier-1 tests, the benchmark self-tests, the
-# benchmark's output check on every workload, the demos and, with --full, a
-# run of the default config checked against the golden fingerprint in
-# ROADMAP.md.
+# benchmark's output check on every workload, the package's import time, the
+# demos and, with --full, a run of the default config checked against the
+# golden fingerprint in ROADMAP.md.
 #
 #   scripts/verify.sh          # tier-1 tests + perfbench self-tests and output check + demos (about 3 min on 2 cores)
 #   scripts/verify.sh --full   # also the default pipeline in a temporary out root (about 2 min more)
@@ -39,6 +39,23 @@ for workload in grid trajectory corpus; do
     *) echo "FAILED   $workload: $last" >&2; exit 1 ;;
   esac
 done
+# informational, no bound: the benchmark's grid and corpus setup_s is almost
+# all import time
+echo "== import time (cumulative, median of 5 fresh interpreters)"
+python3 - <<'PY'
+import statistics, subprocess, sys
+
+cumulative_us = {"patchbias": [], "numpy": []}
+for _ in range(5):
+    cmd = [sys.executable, "-X", "importtime", "-c", "import patchbias"]
+    # each stderr line reads "import time: <self us> | <cumulative us> | <package>"
+    for line in subprocess.run(cmd, capture_output=True, text=True, check=True).stderr.splitlines():
+        fields = line.split("|")
+        if len(fields) == 3 and fields[2].strip() in cumulative_us:
+            cumulative_us[fields[2].strip()].append(int(fields[1]))
+for name, us in cumulative_us.items():
+    print("%-9s %7.1f ms" % (name, statistics.median(us) / 1000))
+PY
 echo "== demos"
 for demo in demos/*.py; do
   echo "$demo"

@@ -22,7 +22,7 @@ from .composition import (
 from .errors import NonFiniteGradientError, PatchBiasError, ValidationError
 from .metrics import CountStat, EvalResult, evaluate
 from .model import ClassifierSpec, forward, init_params, loss_and_grad, pool, predict
-from .patchgrid import Patch, PatchGridSpec, binary_label, multilabel_vector, partition
+from .patchgrid import Patch, PatchGridSpec, binary_label, partition
 from .records import PatchRecord, read_patch_index, tau_key, write_patch_index
 from .sampler import GroupedDataset, draw_biased, draw_erm, draw_less_biased, erm_steps_per_epoch
 from .synthdata import (
@@ -59,7 +59,7 @@ __all__ = [
     "NonFiniteGradientError", "PatchBiasError", "ValidationError",
     "CountStat", "EvalResult", "evaluate",
     "ClassifierSpec", "forward", "init_params", "loss_and_grad", "pool", "predict",
-    "Patch", "PatchGridSpec", "binary_label", "multilabel_vector", "partition",
+    "Patch", "PatchGridSpec", "binary_label", "partition",
     "PatchRecord", "read_patch_index", "tau_key", "write_patch_index",
     "GroupedDataset", "draw_biased", "draw_erm", "draw_less_biased", "erm_steps_per_epoch",
     "SPLITS", "ManifestEntry", "SceneSpec", "TissueClass",

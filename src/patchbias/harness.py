@@ -1,6 +1,8 @@
-"""Pipeline stages and their on-disk layout.
+"""Pipeline stages, their config and their on-disk layout.
 
-One JSON config drives everything. Stages write under a single output root:
+One JSON config drives everything. `CONFIG_SCHEMA` states every field and
+what a valid value is, and `validate_config` checks a config against it
+before a stage writes anything. Stages write under a single output root:
 
     dataset/    images/, masks/, generate.json (stamp)
     patches/    patch_index.jsonl, patchify.json (stamp)
@@ -15,15 +17,15 @@ environment variable, then config["out_root"]. The config hash covers every
 section except out_root, so moving a run does not change its identity.
 
 A stamp holds the hash of the config sections a stage's output was made
-from. The stage deletes it before it writes and writes it last, and the
-next stage reads that output only under a stamp that matches its own config.
+from. The stage deletes it, and its run-manifest entry, before it writes,
+and writes it last; the next stage reads that output only under a stamp
+that matches its own config.
 `results.json` is train's stamp: report reads it only when it holds the
 hash of report's own config.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -111,106 +113,116 @@ def default_config() -> dict:
     }
 
 
-def _check_range(section: str, key: str, v, lo_ok=None, hi_ok=None) -> None:
-    name = f"{section}.{key}"
-    if not (isinstance(v, list) and len(v) == 2 and all(is_number(x) for x in v)):
-        raise ValidationError(f"config field {name} must be a [low, high] pair of finite numbers")
-    if v[0] > v[1]:
-        raise ValidationError(f"config field {name} must have low <= high, got {v}")
-    if lo_ok is not None and v[0] < lo_ok:
-        raise ValidationError(f"config field {name} values must be >= {lo_ok}")
-    if hi_ok is not None and v[1] > hi_ok:
-        raise ValidationError(f"config field {name} values must be <= {hi_ok}")
+def _non_negative(v) -> bool:
+    return is_number(v) and v >= 0
+
+
+def _fraction(v) -> bool:
+    return is_number(v) and 0.0 <= v <= 1.0
+
+
+def _pair(ok):
+    """A [low, high] list with `ok` true of both and low <= high."""
+    return lambda v: isinstance(v, list) and len(v) == 2 and all(map(ok, v)) and v[0] <= v[1]
+
+
+_POSITIVE_INT = (lambda v: is_int(v) and v >= 1, "a positive integer")
+_SEED = (lambda v: is_int(v) and v >= 0, "a non-negative integer")
+_NON_NEGATIVE = (_non_negative, "a non-negative finite number")
+_FRACTION_PAIR = (_pair(_fraction), "a [low, high] pair of numbers in [0, 1] with low <= high")
+
+# Every config field: section -> key -> (check, what a valid value is). A
+# number must be finite (`errors.is_number`), since json reads NaN and
+# Infinity. The README's config reference has one row per field here.
+CONFIG_SCHEMA = {
+    "out_root": (lambda v: isinstance(v, str) and v != "", "a non-empty string"),
+    "dataset": {
+        "images": _POSITIVE_INT,
+        "height": _POSITIVE_INT,
+        "width": _POSITIVE_INT,
+        "channels": _POSITIVE_INT,
+        "seed": _SEED,
+        "tumor_blob_count_range": (_pair(_SEED[0]), "a [low, high] pair of integers >= 0 with low <= high"),
+        "tumor_coverage_range": _FRACTION_PAIR,
+        "healthy_coverage_range": _FRACTION_PAIR,
+        "background_intensity_max": (
+            lambda v: _non_negative(v) and v <= _MAX_BACKGROUND_CAP,
+            f"<= {_MAX_BACKGROUND_CAP} and non-negative",
+        ),
+        "noise_sigma": _NON_NEGATIVE,
+        "rim_thickness": _NON_NEGATIVE,
+        "split_fractions": (
+            lambda v: isinstance(v, list) and len(v) == 3 and all(map(_non_negative, v))
+            and abs(sum(v) - 1.0) <= 1e-9,
+            "three non-negative numbers that sum to 1",
+        ),
+    },
+    "patch": {
+        "height": _POSITIVE_INT,
+        "width": _POSITIVE_INT,
+        "taus": (
+            lambda v: isinstance(v, list) and len(v) > 0 and all(map(_fraction, v))
+            and len({tau_key(t) for t in v}) == len(v),
+            "a non-empty list of numbers in [0, 1] that do not repeat",
+        ),
+        "epsilon": (lambda v: is_number(v) and 0.0 < v < 1.0, "a number in (0, 1)"),
+    },
+    "analysis": {"n_bins": _POSITIVE_INT, "split": (lambda v: v in SPLITS, "one of " + ", ".join(SPLITS))},
+    "model": {"k1": _POSITIVE_INT, "k2": _POSITIVE_INT, "pool_target": _POSITIVE_INT},
+    "train": {
+        "batch_size": _POSITIVE_INT,
+        "epochs": _POSITIVE_INT,
+        "lr": (lambda v: is_number(v) and v > 0, "a positive finite number"),
+        "momentum": (lambda v: is_number(v) and 0.0 <= v < 1.0, "a number in [0, 1)"),
+        "seed": _SEED,
+        "trials": _POSITIVE_INT,
+        "beta": (lambda v: v is None or is_number(v), "a finite number or null"),
+        "beta_grid": (
+            lambda v: isinstance(v, list) and len(v) > 0 and all(map(is_number, v)),
+            "a non-empty list of finite numbers",
+        ),
+    },
+}
+
+
+def _check_fields(obj: dict, schema: dict, prefix: str = "") -> None:
+    """Reject unknown, missing and invalid fields, naming each as section.key."""
+    for key in obj:
+        if key not in schema:
+            raise ValidationError(f"unknown config field {prefix}{key}")
+    for key, rule in schema.items():
+        name = prefix + key
+        if key not in obj:
+            raise ValidationError(f"missing config field {name}")
+        value = obj[key]
+        if isinstance(rule, dict):
+            if not isinstance(value, dict):
+                raise ValidationError(f"config field {name} must be an object")
+            _check_fields(value, rule, name + ".")
+        elif not rule[0](value):
+            raise ValidationError(f"config field {name} must be {rule[1]}, got {value!r}")
 
 
 def validate_config(config: dict) -> None:
-    """Structural validation with messages naming the offending field."""
+    """Check every field against CONFIG_SCHEMA, then the combinations of fields.
+
+    The combinations would otherwise fail only after the data stages. Each
+    message names the offending field.
+    """
     if not isinstance(config, dict):
         raise ValidationError("config must be a JSON object")
-    known_sections = {"out_root", "dataset", "patch", "analysis", "model", "train"}
-    for key in config:
-        if key not in known_sections:
-            raise ValidationError(f"unknown config field {key}")
-    for key in known_sections:
-        if key not in config:
-            raise ValidationError(f"missing config field {key}")
-    if not isinstance(config["out_root"], str) or not config["out_root"]:
-        raise ValidationError("config field out_root must be a non-empty string")
-
-    def check_section(name: str, fields: dict) -> dict:
-        section = config[name]
-        if not isinstance(section, dict):
-            raise ValidationError(f"config field {name} must be an object")
-        for key in section:
-            if key not in fields:
-                raise ValidationError(f"unknown config field {name}.{key}")
-        for key in fields:
-            if key not in section:
-                raise ValidationError(f"missing config field {name}.{key}")
-        return section
-
-    d = check_section("dataset", {
-        "images", "height", "width", "channels", "seed",
-        "tumor_blob_count_range", "tumor_coverage_range", "healthy_coverage_range",
-        "background_intensity_max", "noise_sigma", "rim_thickness", "split_fractions",
-    })
-    for key in ("images", "height", "width", "channels", "seed"):
-        if not is_int(d[key]) or d[key] < (0 if key == "seed" else 1):
-            raise ValidationError(f"config field dataset.{key} must be a positive integer")
-    _check_range("dataset", "tumor_blob_count_range", d["tumor_blob_count_range"], lo_ok=0)
-    if not all(is_int(x) for x in d["tumor_blob_count_range"]):
-        raise ValidationError("config field dataset.tumor_blob_count_range must hold integers")
-    _check_range("dataset", "tumor_coverage_range", d["tumor_coverage_range"], 0.0, 1.0)
-    _check_range("dataset", "healthy_coverage_range", d["healthy_coverage_range"], 0.0, 1.0)
-    for key in ("background_intensity_max", "noise_sigma", "rim_thickness"):
-        if not is_number(d[key]) or d[key] < 0:
-            raise ValidationError(f"config field dataset.{key} must be a non-negative finite number")
-    if d["background_intensity_max"] > _MAX_BACKGROUND_CAP:
-        raise ValidationError(
-            f"config field dataset.background_intensity_max must be <= {_MAX_BACKGROUND_CAP}, "
-            f"got {d['background_intensity_max']}"
-        )
+    _check_fields(config, CONFIG_SCHEMA)
+    d, p = config["dataset"], config["patch"]
     if d["seed"] + d["images"] - 1 >= 2**64:
         raise ValidationError(
             "config field dataset.seed: scene seeds seed .. seed + images - 1 must stay below 2**64"
         )
-    sf = d["split_fractions"]
-    if not (isinstance(sf, list) and len(sf) == 3 and all(is_number(x) and x >= 0 for x in sf)):
-        raise ValidationError("config field dataset.split_fractions must be three non-negative numbers")
-    if abs(sum(sf) - 1.0) > 1e-9:
-        raise ValidationError(f"config field dataset.split_fractions must sum to 1, got {sf}")
-
-    p = check_section("patch", {"height", "width", "taus", "epsilon"})
-    for key in ("height", "width"):
-        if not is_int(p[key]) or p[key] < 1:
-            raise ValidationError(f"config field patch.{key} must be a positive integer")
-    taus = p["taus"]
-    if not (isinstance(taus, list) and taus and all(is_number(t) and 0.0 <= t <= 1.0 for t in taus)):
-        raise ValidationError("config field patch.taus must be a non-empty list of numbers in [0, 1]")
-    if len({tau_key(t) for t in taus}) != len(taus):
-        raise ValidationError("config field patch.taus must not repeat thresholds")
-    if not is_number(p["epsilon"]) or not 0.0 < p["epsilon"] < 1.0:
-        raise ValidationError("config field patch.epsilon must be a number in (0, 1)")
-
-    a = check_section("analysis", {"n_bins", "split"})
-    if not is_int(a["n_bins"]) or a["n_bins"] < 1:
-        raise ValidationError("config field analysis.n_bins must be a positive integer")
-    if a["split"] not in SPLITS:
-        raise ValidationError(f"config field analysis.split must be one of {SPLITS}")
-
-    m = check_section("model", {"k1", "k2", "pool_target"})
-    for key in ("k1", "k2", "pool_target"):
-        if not is_int(m[key]) or m[key] < 1:
-            raise ValidationError(f"config field model.{key} must be a positive integer")
-
-    TrainConfig(**check_section("train", {f.name for f in dataclasses.fields(TrainConfig)}))
-
-    # combinations of valid fields that would otherwise fail only after the data stages
     for key in ("height", "width"):
         if p[key] > d[key]:
             raise ValidationError(
                 f"config field patch.{key} ({p[key]}) must not exceed dataset.{key} ({d[key]})"
             )
+    sf = d["split_fractions"]
     for split, count in zip(SPLITS, split_counts(d["images"], tuple(sf))):
         if count == 0:
             raise ValidationError(
@@ -312,6 +324,17 @@ def _update_run_manifest(
     write_atomic(path, json.dumps(doc, indent=2, sort_keys=True))
 
 
+def _retract_stage(out_root: Path, stage: str, stamp_path: Path) -> None:
+    """Before a stage rewrites its output: drop its run-manifest entry, then delete its stamp.
+
+    So a failed rewrite leaves no entry for a stage whose stamp is gone.
+    """
+    doc = _read_run_manifest(out_root)
+    if doc["stages"].pop(stage, None) is not None:
+        write_atomic(out_root / "run_manifest.json", json.dumps(doc, indent=2, sort_keys=True))
+    stamp_path.unlink(missing_ok=True)
+
+
 def scene_specs_from_config(dataset_cfg: dict) -> list[SceneSpec]:
     """Sample one SceneSpec per image; pure function of the dataset section."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((dataset_cfg["seed"], 91))))
@@ -389,7 +412,7 @@ def cmd_generate(config: dict, out_root: str | Path | None) -> Path:
         print(f"dataset under {dataset_dir} is missing {len(missing)} files, regenerating")
     stamp_path = dataset_dir / "generate.json"
     # an interrupted run must not leave a stamp that vouches for partial files
-    stamp_path.unlink(missing_ok=True)
+    _retract_stage(out_root, "generate", stamp_path)
     materialize(entries, dataset_dir)
     write_atomic(stamp_path, json.dumps({"dataset_hash": _sha256(config["dataset"])}, indent=2, sort_keys=True))
     _update_run_manifest(
@@ -460,7 +483,7 @@ def cmd_patchify(config: dict, out_root: str | Path | None) -> Path:
     stamp_path = patches_dir / "patchify.json"
     # the index is replaced before the stamp is written, so an old stamp must
     # not outlive a run that fails between the two
-    stamp_path.unlink(missing_ok=True)
+    _retract_stage(out_root, "patchify", stamp_path)
     n = write_patch_index(
         (record for record, _ in _iter_patch_records(config, dataset_dir)), index_path
     )

@@ -8,8 +8,8 @@ optimizer updates and gradient checks stay simple and exact.
 
 The pooling layer has no parameters, so it is not part of the kernel:
 `pool` turns raw (B, H, W, C) patches into the pooled (B, H/f, W/f, C)
-float64 input once per split, and `forward`, `loss_and_grad`, `predict` and
-`relu_margin` take only that pooled shape.
+float64 input once per split, and `forward`, `loss_and_grad` and `predict`
+take only that pooled shape.
 
 Each convolution is one copy and one 2-D matmul: `_im2col` copies the
 stride-2 windows into a (B*Ho*Wo, 9*C) matrix (rows in (b, i, j) order,
@@ -276,12 +276,6 @@ def predict(spec: ClassifierSpec, params: np.ndarray, batch: np.ndarray) -> np.n
     """Argmax labels; an exact tie goes to label 0."""
     logits = forward(spec, params, batch)
     return (logits[:, 1] > logits[:, 0]).astype(np.int64)
-
-
-def relu_margin(spec: ClassifierSpec, params: np.ndarray, batch: np.ndarray) -> float:
-    """Smallest |pre-activation| at the ReLU; finite-difference checks need it > 0."""
-    z1 = _forward_cached(spec, params, batch)["z1"]
-    return float(np.abs(z1).min())
 
 
 def save_checkpoint(path: str | Path, spec: ClassifierSpec, params: np.ndarray) -> None:

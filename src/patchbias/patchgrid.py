@@ -1,14 +1,12 @@
 """Tiling of image/mask pairs into fixed-size patches and per-patch labels.
 
 A patch is labeled positive the moment a single pixel of the target class
-appears in it; the multi-label variant records presence per class.
+appears in it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from .errors import ValidationError
@@ -68,10 +66,3 @@ def partition(data: np.ndarray, labels: np.ndarray, spec: PatchGridSpec) -> list
 def binary_label(patch_mask: np.ndarray, target_class: int = _TUMOR) -> int:
     """1 iff at least one pixel of the target class is present."""
     return int(np.any(patch_mask == target_class))
-
-
-def multilabel_vector(patch_mask: np.ndarray, classes: Sequence[int]) -> np.ndarray:
-    """Per-class presence bits, one per entry of `classes`."""
-    if len(classes) == 0:
-        raise ValidationError("classes must be non-empty")
-    return np.array([int(np.any(patch_mask == c)) for c in classes], dtype=np.int64)

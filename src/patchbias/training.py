@@ -41,7 +41,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import NonFiniteGradientError, ValidationError, is_int, is_number
+from .errors import NonFiniteGradientError, ValidationError
 from .metrics import N_GROUPS, EvalResult, evaluate
 from .model import ClassifierSpec, init_params, loss_and_grad, pool, predict
 from .parallel import pool_size, run_jobs
@@ -62,7 +62,11 @@ def row_label(method: str, eval_metric: str) -> str:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """The config's `train` section; an invalid value raises on construction."""
+    """A typed view of the config's `train` section.
+
+    It checks nothing itself: `harness.validate_config` checks the section
+    against `harness.CONFIG_SCHEMA` before `cmd_train` builds this view.
+    """
 
     batch_size: int
     epochs: int
@@ -71,24 +75,7 @@ class TrainConfig:
     seed: int
     trials: int
     beta: float | None  # None tunes beta over beta_grid
-    beta_grid: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        for key in ("batch_size", "epochs", "trials"):
-            if not is_int(getattr(self, key)) or getattr(self, key) < 1:
-                raise ValidationError(f"config field train.{key} must be a positive integer")
-        if not is_int(self.seed) or self.seed < 0:
-            raise ValidationError("config field train.seed must be a non-negative integer")
-        if not is_number(self.lr) or self.lr <= 0:
-            raise ValidationError("config field train.lr must be a positive finite number")
-        if not is_number(self.momentum) or not 0.0 <= self.momentum < 1.0:
-            raise ValidationError("config field train.momentum must be a number in [0, 1)")
-        if self.beta is not None and not is_number(self.beta):
-            raise ValidationError("config field train.beta must be a finite number or null")
-        grid = self.beta_grid
-        if not (isinstance(grid, (list, tuple)) and grid and all(is_number(b) for b in grid)):
-            raise ValidationError("config field train.beta_grid must be a non-empty list of finite numbers")
-        object.__setattr__(self, "beta_grid", tuple(grid))
+    beta_grid: list[float]
 
 
 @dataclass

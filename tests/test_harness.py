@@ -2,12 +2,17 @@
 
 import builtins
 import csv
+import dataclasses
 import json
+import math
+import re
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patchbias import harness, model, parallel, synthdata
 from patchbias.cli import main as cli_main
@@ -15,6 +20,7 @@ from patchbias.errors import ValidationError
 from patchbias.model import load_checkpoint
 from patchbias.patchgrid import PatchGridSpec, partition
 from patchbias.synthdata import generate_scene
+from patchbias.training import TrainConfig
 
 
 def tiny_config():
@@ -76,6 +82,11 @@ def test_default_config_is_valid():
         (lambda c: c["train"].update(lr=float("nan")), "train.lr"),
         (lambda c: c["train"].update(beta=float("inf")), "train.beta must be a finite number"),
         (lambda c: c["train"].update(beta_grid=[0.0, float("nan")]), "train.beta_grid .* finite"),
+        (lambda c: c["train"].update(seed=-1), "train.seed"),
+        (lambda c: c["train"].update(batch_size=0), "train.batch_size"),
+        (lambda c: c["train"].update(epochs=0), "train.epochs"),
+        (lambda c: c["train"].update(lr=0.0), "train.lr must be a positive finite number"),
+        (lambda c: c["train"].update(trials=0), "train.trials"),
         (lambda c: c["dataset"].update(noise_sigma=float("nan")), "dataset.noise_sigma"),
         (lambda c: c["dataset"].update(rim_thickness=float("inf")), "dataset.rim_thickness"),
         (lambda c: c["dataset"].update(background_intensity_max=float("nan")), "dataset.background_intensity_max"),
@@ -99,6 +110,53 @@ def test_config_validation_names_the_field(mutate, message, tmp_path):
     with pytest.raises(ValidationError, match=message):
         harness.cmd_generate(config, tmp_path / "out")
     assert not (tmp_path / "out").exists()
+
+
+def _schema_rows() -> dict:
+    """Each CONFIG_SCHEMA row by its dotted field name ("train.momentum", "out_root")."""
+    rows = {}
+    for key, rule in harness.CONFIG_SCHEMA.items():
+        if isinstance(rule, dict):
+            rows.update({f"{key}.{field}": row for field, row in rule.items()})
+        else:
+            rows[key] = rule
+    return rows
+
+
+def test_schema_names_every_default_field_and_every_train_config_field():
+    default = harness.default_config()
+    assert default.keys() == harness.CONFIG_SCHEMA.keys()
+    for key, rule in harness.CONFIG_SCHEMA.items():
+        if isinstance(rule, dict):
+            assert default[key].keys() == rule.keys(), key
+    assert set(harness.CONFIG_SCHEMA["train"]) == {f.name for f in dataclasses.fields(TrainConfig)}
+
+
+def _values_of_another_kind(default) -> list:
+    if isinstance(default, str):
+        return [True, 0, None, [], math.nan]
+    if isinstance(default, list):
+        return ["x", True, [], ["x"], [math.nan]]
+    return ["x", True, math.nan, math.inf, -math.inf, []]  # a number, or train.beta's null
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_every_schema_row_rejects_a_value_of_another_kind(data):
+    name = data.draw(st.sampled_from(sorted(_schema_rows())), label="field")
+    config = harness.default_config()
+    section, _, key = name.rpartition(".")
+    fields = config[section] if section else config
+    fields[key] = data.draw(st.sampled_from(_values_of_another_kind(fields[key])), label="value")
+    with pytest.raises(ValidationError, match=f"^config field {re.escape(name)} must be "):
+        harness.validate_config(config)
+
+
+def test_readme_config_reference_lists_every_schema_row():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    reference = readme.split("\n## Config reference\n", 1)[1].split("\n## ", 1)[0]
+    rows = dict(re.findall(r"^\| `([\w.]+)` \| .+ \| (.+) \|$", reference, re.M))
+    assert rows == {name: description for name, (_, description) in _schema_rows().items()}
 
 
 def test_config_hash_ignores_key_order_and_out_root():
@@ -221,13 +279,8 @@ def test_patchify_reports_missing_scene_files(tmp_path):
         harness.cmd_patchify(cfg, tmp_path)
 
 
-def test_a_failed_regenerate_leaves_a_dataset_nothing_reads(tmp_path, monkeypatch):
-    cfg = mini_config()
-    harness.cmd_generate(cfg, tmp_path)
-    index = harness.cmd_patchify(cfg, tmp_path)
-    before = index.read_bytes()
-    changed = mini_config()
-    changed["dataset"]["noise_sigma"] = 0.08
+def _fail_the_third_tensor_write(monkeypatch):
+    """Make the third scene tensor write of the next generate raise OSError("disk full")."""
     calls = []
     real_write = synthdata.write_tensor
 
@@ -240,6 +293,16 @@ def test_a_failed_regenerate_leaves_a_dataset_nothing_reads(tmp_path, monkeypatc
     # the writes must happen in this process for the patch to see them
     monkeypatch.setattr(parallel, "worker_count", lambda: 1)
     monkeypatch.setattr(synthdata, "write_tensor", fail_on_third_write)
+
+
+def test_a_failed_regenerate_leaves_a_dataset_nothing_reads(tmp_path, monkeypatch):
+    cfg = mini_config()
+    harness.cmd_generate(cfg, tmp_path)
+    index = harness.cmd_patchify(cfg, tmp_path)
+    before = index.read_bytes()
+    changed = mini_config()
+    changed["dataset"]["noise_sigma"] = 0.08
+    _fail_the_third_tensor_write(monkeypatch)
     with pytest.raises(OSError, match="disk full"):
         harness.cmd_generate(changed, tmp_path)
     # one scene is rewritten, the others are from the old section
@@ -306,8 +369,10 @@ def test_interrupted_patchify_keeps_the_previous_index(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="read failed"):
         harness.cmd_patchify(cfg, tmp_path)
     assert index.read_bytes() == before
-    # the failed run deleted the stamp, so the kept index is no longer read
+    # the failed run deleted the stamp and its run-manifest entry, so the kept
+    # index is no longer read
     assert [p.name for p in index.parent.iterdir()] == ["patch_index.jsonl"]
+    assert "patchify" not in json.loads((tmp_path / "run_manifest.json").read_text())["stages"]
     with pytest.raises(ValidationError, match=r"patchify.json is missing or names others\); re-run patchify"):
         harness.cmd_analyze(cfg, tmp_path)
 
@@ -486,7 +551,7 @@ def test_run_manifest_keeps_each_stages_config_hash(tmp_path):
     }
 
 
-def test_run_manifest_names_only_existing_files_after_every_stage(tmp_path, capsys):
+def test_run_manifest_names_only_existing_files_after_every_stage(tmp_path, capsys, monkeypatch):
     cfg = tiny_config()
     cfg["train"]["epochs"] = 1
     path = _write_config(tmp_path, cfg)
@@ -501,6 +566,18 @@ def test_run_manifest_names_only_existing_files_after_every_stage(tmp_path, caps
             for rel in entry["artifacts"].values():
                 assert (out / rel).exists(), (stage, name, rel)
         assert not (out / "dataset" / "manifest.json").exists(), stage
+
+    # a regenerate that fails midway drops generate's entry with its stamp
+    changed = tiny_config()
+    changed["dataset"]["noise_sigma"] = 0.08
+    _fail_the_third_tensor_write(monkeypatch)
+    with pytest.raises(OSError, match="disk full"):
+        cli_main(["generate", "--config", str(_write_config(tmp_path, changed)), "--out", str(out)])
+    doc = json.loads((out / "run_manifest.json").read_text())
+    assert "generate" not in doc["stages"]
+    for name, entry in doc["stages"].items():
+        for rel in entry["artifacts"].values():
+            assert (out / rel).exists(), (name, rel)
 
 
 def test_results_json_has_no_timings(tiny_run):

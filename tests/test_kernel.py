@@ -23,7 +23,6 @@ from patchbias.model import (
     param_views,
     pool,
     predict,
-    relu_margin,
 )
 
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -136,7 +135,6 @@ def test_kernel_matches_the_tensordot_oracle_bit_for_bit(case):
     np.testing.assert_array_equal(forward(spec, params, batch), oracle["logits"])
     expected = (oracle["logits"][:, 1] > oracle["logits"][:, 0]).astype(np.int64)
     np.testing.assert_array_equal(predict(spec, params, batch), expected)
-    assert relu_margin(spec, params, batch) == float(np.abs(oracle["z1"]).min())
 
     loss, grad = loss_and_grad(spec, params, batch, labels)
     oracle_loss, oracle_grad = _oracle_loss_and_grad(spec, params, batch, labels)

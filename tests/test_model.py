@@ -8,6 +8,7 @@ import pytest
 from patchbias.errors import ValidationError
 from patchbias.model import (
     ClassifierSpec,
+    _forward_cached,
     forward,
     init_params,
     load_checkpoint,
@@ -16,13 +17,17 @@ from patchbias.model import (
     param_views,
     pool,
     predict,
-    relu_margin,
     save_checkpoint,
 )
 from patchbias.tensorio import write_tensor
 
 # small enough for exhaustive finite differences, large enough to hit both convs
 TINY = ClassifierSpec(input_height=16, input_width=16, channels=1, k1=3, k2=4, pool_target=16, seed=3)
+
+
+def relu_margin(spec, params, batch) -> float:
+    """Smallest |pre-activation| at the ReLU; finite-difference checks need it > 0."""
+    return float(np.abs(_forward_cached(spec, params, batch)["z1"]).min())
 
 
 def _batch(spec, n, seed):

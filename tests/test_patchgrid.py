@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from patchbias.errors import ValidationError
-from patchbias.patchgrid import PatchGridSpec, binary_label, multilabel_vector, partition
+from patchbias.patchgrid import PatchGridSpec, binary_label, partition
 from patchbias.synthdata import SceneSpec, TissueClass, generate_scene
 
 
@@ -93,29 +93,6 @@ def test_binary_label_matches_brute_force_on_random_masks():
                 if mask[i, j] == TissueClass.TUMOR:
                     expect = 1
         assert binary_label(mask) == expect
-
-
-def test_multilabel_vector_direct_cases():
-    mask = np.zeros((4, 4), dtype=np.uint8)
-    mask[0, 0] = TissueClass.TUMOR
-    classes = (TissueClass.TUMOR, TissueClass.HEALTHY, TissueClass.BACKGROUND)
-    assert multilabel_vector(mask, classes).tolist() == [1, 0, 1]
-    # a total mask listing Background can never give the all-zero vector
-    assert multilabel_vector(np.zeros((2, 2), dtype=np.uint8), classes).sum() >= 1
-
-
-def test_multilabel_vector_matches_brute_force():
-    rng = np.random.default_rng(2)
-    classes = (TissueClass.TUMOR, TissueClass.HEALTHY, TissueClass.BACKGROUND)
-    for _ in range(300):
-        mask = rng.integers(0, 3, (6, 6)).astype(np.uint8)
-        expect = [int(any(mask[i, j] == c for i in range(6) for j in range(6))) for c in classes]
-        assert multilabel_vector(mask, classes).tolist() == expect
-
-
-def test_multilabel_vector_rejects_empty_classes():
-    with pytest.raises(ValidationError):
-        multilabel_vector(np.zeros((2, 2), dtype=np.uint8), ())
 
 
 def test_grid_spec_validation():

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_model import relu_margin
 
 from patchbias.errors import ValidationError
-from patchbias.model import ClassifierSpec, forward, init_params, loss_and_grad, pool, predict, relu_margin
+from patchbias.model import ClassifierSpec, forward, init_params, loss_and_grad, pool, predict
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
