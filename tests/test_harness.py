@@ -82,11 +82,6 @@ def test_default_config_is_valid():
         (lambda c: c["train"].update(lr=float("nan")), "train.lr"),
         (lambda c: c["train"].update(beta=float("inf")), "train.beta must be a finite number"),
         (lambda c: c["train"].update(beta_grid=[0.0, float("nan")]), "train.beta_grid .* finite"),
-        (lambda c: c["train"].update(seed=-1), "train.seed"),
-        (lambda c: c["train"].update(batch_size=0), "train.batch_size"),
-        (lambda c: c["train"].update(epochs=0), "train.epochs"),
-        (lambda c: c["train"].update(lr=0.0), "train.lr must be a positive finite number"),
-        (lambda c: c["train"].update(trials=0), "train.trials"),
         (lambda c: c["dataset"].update(noise_sigma=float("nan")), "dataset.noise_sigma"),
         (lambda c: c["dataset"].update(rim_thickness=float("inf")), "dataset.rim_thickness"),
         (lambda c: c["dataset"].update(background_intensity_max=float("nan")), "dataset.background_intensity_max"),

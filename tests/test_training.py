@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from patchbias.errors import NonFiniteGradientError, ValidationError
-from patchbias.harness import default_config
+from patchbias.harness import default_config, validate_config
 from patchbias.model import ClassifierSpec, init_params, param_views, pool
 from patchbias import parallel, training
 from patchbias.training import (
@@ -155,6 +155,29 @@ def test_non_finite_gradients_abort_and_name_the_stream():
     with pytest.raises(NonFiniteGradientError, match="less-biased"):
         gerne_step(SPEC, p0.copy(), v0.copy(), split.x, split.y, bad, split.y,
                    beta=0.5, lr=0.1, momentum=0.9)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(lr=float("nan")), "train.lr must be a positive finite number"),
+        (dict(beta_grid=[0.0, float("nan")]), "train.beta_grid"),
+        (dict(seed=-1), "train.seed"),
+        (dict(batch_size=0), "batch_size"),
+        (dict(epochs=0), "epochs"),
+        (dict(lr=0.0), "lr"),
+        (dict(momentum=1.0), "momentum"),
+        (dict(trials=0), "trials"),
+        (dict(beta=float("inf")), "beta"),
+        (dict(beta_grid=[]), "beta_grid"),
+    ],
+)
+def test_train_config_validation(kwargs, message):
+    # the train section is checked by the config schema; TrainConfig is only its typed view
+    config = default_config()
+    config["train"].update(kwargs)
+    with pytest.raises(ValidationError, match=message):
+        validate_config(config)
 
 
 def test_split_data_shape_checks():
