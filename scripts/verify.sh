@@ -2,7 +2,8 @@
 # Verify a checkout: the tier-1 tests, the benchmark self-tests, the
 # benchmark's output check on every workload, the package's import time, the
 # demos and, with --full, a run of the default config checked against the
-# golden fingerprint in ROADMAP.md.
+# golden fingerprint in ROADMAP.md, then an analysis-only edit that analyze
+# and report must take without a retrain.
 #
 #   scripts/verify.sh          # tier-1 tests + perfbench self-tests and output check + demos (about 3 min on 2 cores)
 #   scripts/verify.sh --full   # also the default pipeline in a temporary out root (about 2 min more)
@@ -98,4 +99,21 @@ check() {
 }
 check train/results.json "$RESULTS_SHA256"
 check report/final_table.csv "$TABLE_SHA256"
+
+# train reads no analysis field, so its run-manifest entry still vouches for
+# train/ after this edit: report must give the same table and leave the
+# results untouched (seconds, against a full retrain)
+echo "== analysis.n_bins 21: analyze and report without a retrain"
+cp "$out/run/train/results.json" "$out/results.before.json"
+python3 -c 'import json, sys; from patchbias.harness import default_config; c = default_config(); c["analysis"]["n_bins"] = 21; json.dump(c, open(sys.argv[1], "w"))' "$out/n_bins21.json"
+for stage in analyze report; do
+  python3 -m patchbias "$stage" --config "$out/n_bins21.json" --out "$out/run" > /dev/null
+done
+check report/final_table.csv "$TABLE_SHA256"
+if cmp -s "$out/run/train/results.json" "$out/results.before.json"; then
+  echo "ok       train/results.json unchanged"
+else
+  echo "CHANGED  train/results.json" >&2
+  status=1
+fi
 exit "$status"

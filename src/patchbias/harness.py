@@ -4,8 +4,8 @@ One JSON config drives everything. `CONFIG_SCHEMA` states every field and
 what a valid value is, and `validate_config` checks a config against it
 before a stage writes anything. Stages write under a single output root:
 
-    dataset/    images/, masks/, generate.json (stamp)
-    patches/    patch_index.jsonl, patchify.json (stamp)
+    dataset/    images/, masks/
+    patches/    patch_index.jsonl
     analysis/   histogram CSVs, bias_tau*.json
     train/      <cell>/trial<k>/{epochs.csv, checkpoint.pbt, checkpoint.json,
                 test_predictions.csv}, results.json
@@ -16,12 +16,11 @@ The output root resolves as: explicit argument, then the PATCHBIAS_OUT
 environment variable, then config["out_root"]. The config hash covers every
 section except out_root, so moving a run does not change its identity.
 
-A stamp holds the hash of the config sections a stage's output was made
-from. The stage deletes it, and its run-manifest entry, before it writes,
-and writes it last; the next stage reads that output only under a stamp
-that matches its own config.
-`results.json` is train's stamp: report reads it only when it holds the
-hash of report's own config.
+A stage's run_manifest.json entry is the one record of where its output came
+from: its `inputs_hash` covers the config sections that output is made from
+(`STAGE_SECTIONS`). A stage drops its entry before it replaces its output and
+writes it last; the next stage reads that output only under an entry that
+matches its own config. Without run_manifest.json every stage must run again.
 """
 
 from __future__ import annotations
@@ -247,6 +246,17 @@ def load_config(path: str | Path) -> dict:
     return config
 
 
+# The config sections each stage's output is made from; report reads only
+# train's output, so it has train's sections.
+STAGE_SECTIONS = {
+    "generate": ("dataset",),
+    "patchify": ("dataset", "patch"),
+    "analyze": ("dataset", "patch", "analysis"),
+    "train": ("dataset", "patch", "model", "train"),
+    "report": ("dataset", "patch", "model", "train"),
+}
+
+
 def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -258,6 +268,10 @@ def _sha256(obj) -> str:
 def config_hash(config: dict) -> str:
     """sha256 over the canonical config, out_root excluded; key order never matters."""
     return _sha256({k: v for k, v in config.items() if k != "out_root"})
+
+
+def _inputs_hash(config: dict, stage: str) -> str:
+    return _sha256([config[section] for section in STAGE_SECTIONS[stage]])
 
 
 def resolve_out_root(config: dict, override: str | Path | None = None) -> Path:
@@ -300,8 +314,8 @@ def _read_run_manifest(out_root: Path) -> dict:
 def _update_run_manifest(
     out_root: Path, config: dict, stage: str, artifacts: dict, seconds: float, workers: int = 1
 ) -> None:
-    """Record a finished stage: its config's hash, when, how long, on how many processes, its peak memory,
-    and what it wrote.
+    """Record a finished stage: the hash of the sections it read, when, how long, on how many processes,
+    its peak memory, and what it wrote.
 
     `peak_rss_mb` is the stage process's `ru_maxrss`: the calling process only,
     not the helpers `run_jobs` forks, and, when one process runs several
@@ -314,7 +328,7 @@ def _update_run_manifest(
         if not (out_root / rel).exists():
             raise ValidationError(f"manifest would reference a missing artifact: {rel}")
     doc["stages"][stage] = {
-        "config_hash": config_hash(config),
+        "inputs_hash": _inputs_hash(config, stage),
         "completed_utc": datetime.now(timezone.utc).isoformat(),
         "seconds": round(seconds, 3),
         "workers": workers,
@@ -324,15 +338,18 @@ def _update_run_manifest(
     write_atomic(path, json.dumps(doc, indent=2, sort_keys=True))
 
 
-def _retract_stage(out_root: Path, stage: str, stamp_path: Path) -> None:
-    """Before a stage rewrites its output: drop its run-manifest entry, then delete its stamp.
-
-    So a failed rewrite leaves no entry for a stage whose stamp is gone.
-    """
+def _retract_stage(out_root: Path, stage: str) -> None:
+    """Drop a stage's run-manifest entry before it replaces its output, so no entry vouches for a partial one."""
     doc = _read_run_manifest(out_root)
     if doc["stages"].pop(stage, None) is not None:
         write_atomic(out_root / "run_manifest.json", json.dumps(doc, indent=2, sort_keys=True))
-    stamp_path.unlink(missing_ok=True)
+
+
+def _require_stage(out_root: Path, config: dict, stage: str, error: str) -> None:
+    """Raise `ValidationError(error)` unless `stage`'s run-manifest entry was made from this config's sections."""
+    entry = _read_run_manifest(out_root)["stages"].get(stage)
+    if not (isinstance(entry, dict) and entry.get("inputs_hash") == _inputs_hash(config, stage)):
+        raise ValidationError(error)
 
 
 def scene_specs_from_config(dataset_cfg: dict) -> list[SceneSpec]:
@@ -362,28 +379,12 @@ def scene_specs_from_config(dataset_cfg: dict) -> list[SceneSpec]:
     return specs
 
 
-def _require_stamp(path: Path, key: str, digest: str, error: str) -> dict:
-    """The stamp at `path`; raise `ValidationError(error)` unless it holds `digest` under `key`."""
-    try:
-        doc = json.loads(path.read_text())
-        stamped = doc[key]
-    except (OSError, ValueError, TypeError, KeyError):  # missing, or not a stamp this package wrote
-        stamped = None
-    if stamped != digest:
-        raise ValidationError(error)
-    return doc
-
-
-def _require_generated(config: dict, dataset_dir: Path) -> None:
-    """Raise unless generate has finished under `dataset_dir` for this config's dataset section.
-
-    Without a matching stamp the scenes may be partial or from another section.
-    """
-    stamp_path = dataset_dir / "generate.json"
-    _require_stamp(
-        stamp_path, "dataset_hash", _sha256(config["dataset"]),
-        f"the dataset under {dataset_dir} was not generated from this config's dataset section "
-        f"({stamp_path} is missing or names another); run generate first",
+def _require_generated(config: dict, out_root: Path) -> None:
+    """Raise unless generate has finished under `out_root` for this config's dataset section."""
+    _require_stage(
+        out_root, config, "generate",
+        f"the dataset under {out_root / 'dataset'} was not generated from this config's dataset section "
+        f"(run_manifest.json has no generate entry for it); run generate first",
     )
 
 
@@ -400,7 +401,7 @@ def cmd_generate(config: dict, out_root: str | Path | None) -> Path:
     dataset_dir = out_root / "dataset"
     entries = _corpus(config)
     try:
-        _require_generated(config, dataset_dir)
+        _require_generated(config, out_root)
     except ValidationError:  # not generated, interrupted, or from another dataset section
         missing = None
     else:
@@ -410,15 +411,10 @@ def cmd_generate(config: dict, out_root: str | Path | None) -> Path:
         return dataset_dir
     if missing:
         print(f"dataset under {dataset_dir} is missing {len(missing)} files, regenerating")
-    stamp_path = dataset_dir / "generate.json"
-    # an interrupted run must not leave a stamp that vouches for partial files
-    _retract_stage(out_root, "generate", stamp_path)
+    _retract_stage(out_root, "generate")
     materialize(entries, dataset_dir)
-    write_atomic(stamp_path, json.dumps({"dataset_hash": _sha256(config["dataset"])}, indent=2, sort_keys=True))
     _update_run_manifest(
-        out_root, config, "generate",
-        {"generate_stamp": "dataset/generate.json"},
-        time.monotonic() - started, pool_size(len(entries)),
+        out_root, config, "generate", {"dataset": "dataset"}, time.monotonic() - started, pool_size(len(entries))
     )
     print(f"generated {len(entries)} images under {dataset_dir}")
     return dataset_dir
@@ -475,19 +471,14 @@ def cmd_patchify(config: dict, out_root: str | Path | None) -> Path:
     """Patch the whole corpus into a JSON-lines index with per-tau group columns."""
     out_root = _stage_root(config, out_root)
     started = time.monotonic()
-    dataset_dir = out_root / "dataset"
-    _require_generated(config, dataset_dir)
+    _require_generated(config, out_root)
     patches_dir = out_root / "patches"
     patches_dir.mkdir(parents=True, exist_ok=True)
     index_path = patches_dir / "patch_index.jsonl"
-    stamp_path = patches_dir / "patchify.json"
-    # the index is replaced before the stamp is written, so an old stamp must
-    # not outlive a run that fails between the two
-    _retract_stage(out_root, "patchify", stamp_path)
+    _retract_stage(out_root, "patchify")
     n = write_patch_index(
-        (record for record, _ in _iter_patch_records(config, dataset_dir)), index_path
+        (record for record, _ in _iter_patch_records(config, out_root / "dataset")), index_path
     )
-    write_atomic(stamp_path, json.dumps({"dataset_patch_hash": _patch_hash(config)}, indent=2, sort_keys=True))
     _update_run_manifest(
         out_root, config, "patchify",
         {"patch_index": "patches/patch_index.jsonl"},
@@ -497,18 +488,13 @@ def cmd_patchify(config: dict, out_root: str | Path | None) -> Path:
     return index_path
 
 
-def _patch_hash(config: dict) -> str:
-    return _sha256([config["dataset"], config["patch"]])
-
-
 def _patchified_index(config: dict, out_root: Path) -> list[PatchRecord]:
     """The patch index, once patchify has finished for this config's dataset and patch sections."""
     patches_dir = out_root / "patches"
-    stamp_path = patches_dir / "patchify.json"
-    _require_stamp(
-        stamp_path, "dataset_patch_hash", _patch_hash(config),
+    _require_stage(
+        out_root, config, "patchify",
         f"the patch index under {patches_dir} was not built from this config's dataset and patch "
-        f"sections ({stamp_path} is missing or names others); re-run patchify",
+        f"sections (run_manifest.json has no patchify entry for them); re-run patchify",
     )
     return read_patch_index(patches_dir / "patch_index.jsonl")
 
@@ -601,8 +587,7 @@ def build_split_data(
     group ids differ. The arrays stay raw and nothing here keeps a reference
     to them, so `cmd_train` can replace each with its pooled copy and free it.
     """
-    dataset_dir = out_root / "dataset"
-    _require_generated(config, dataset_dir)
+    _require_generated(config, out_root)
     stored = _patchified_index(config, out_root)
     taus = config["patch"]["taus"]
 
@@ -614,7 +599,7 @@ def build_split_data(
     filled = dict.fromkeys(SPLITS, 0)
 
     cursor = 0
-    for record, patch in _iter_patch_records(config, dataset_dir):
+    for record, patch in _iter_patch_records(config, out_root / "dataset"):
         if cursor >= len(stored):
             raise ValidationError("patch index is shorter than the dataset grid; re-run patchify")
         on_disk = stored[cursor]
@@ -681,7 +666,8 @@ def cmd_train(config: dict, out_root: str | Path | None) -> RunReport:
 
     artifacts = {}
     # the whole tree is built beside train/ and swapped in at the end, so a
-    # failed write leaves the previous run's files and results.json as they were
+    # failed write leaves the previous run's files and entry as they were; the
+    # entry is dropped just before the swap, so none vouches for a half-done swap
     with atomic_dir(out_root / "train") as staged:
         for cell in report.cells:
             name = cell_dir_name(cell.method, cell.eval_metric, cell.tau)
@@ -705,6 +691,7 @@ def cmd_train(config: dict, out_root: str | Path | None) -> RunReport:
             "cells": [cell.to_dict() for cell in report.cells],
         }
         (staged / "results.json").write_text(json.dumps(results, indent=2, sort_keys=True), encoding="utf-8")
+        _retract_stage(out_root, "train")
     artifacts["results"] = "train/results.json"
     _update_run_manifest(out_root, config, "train", artifacts, time.monotonic() - started, report.workers)
     for cell in report.cells:
@@ -717,16 +704,21 @@ def cmd_train(config: dict, out_root: str | Path | None) -> RunReport:
 
 
 def cmd_report(config: dict, out_root: str | Path | None) -> Path:
-    """Assemble the final results table from the train stage output made from this config."""
+    """Assemble the final results table from the train stage output made from this config's sections."""
     out_root = _stage_root(config, out_root)
     started = time.monotonic()
     results_path = out_root / "train" / "results.json"
     if not results_path.exists():
         raise ValidationError(f"train results not found: {results_path}; run train first")
-    results = _require_stamp(
-        results_path, "config_hash", config_hash(config),
-        f"train results {results_path} were not made from this config; re-run train",
+    _require_stage(
+        out_root, config, "train",
+        f"train results {results_path} were not made from this config's dataset, patch, model and train "
+        f"sections (run_manifest.json has no train entry for them); re-run train",
     )
+    try:
+        results = json.loads(results_path.read_text())
+    except ValueError:
+        raise ValidationError(f"train results {results_path} are not valid JSON; re-run train") from None
     taus = results["taus"]
     by_key = {(c["row"], tau_key(c["tau"])): c for c in results["cells"]}
 

@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 import re
+import shutil
 import weakref
 from pathlib import Path
 
@@ -188,12 +189,18 @@ def test_scene_specs_are_a_pure_function_of_the_dataset_section():
         assert s.tumor_coverage + s.healthy_coverage <= 1.0
 
 
+def _copy_run(tiny_run, tmp_path):
+    """The shared run copied under `tmp_path`, for a test that changes its files."""
+    cfg, out = tiny_run
+    return cfg, shutil.copytree(out, tmp_path / "run")
+
+
 def test_generate_writes_corpus_and_skips_reruns(tmp_path, capsys):
     cfg = mini_config()
     harness.cmd_generate(cfg, tmp_path)
     dataset = tmp_path / "dataset"
-    # the scenes and the stamp; the corpus itself is derived, never stored
-    assert sorted(p.name for p in dataset.iterdir()) == ["generate.json", "images", "masks"]
+    # only the scenes; the corpus itself is derived, never stored
+    assert sorted(p.name for p in dataset.iterdir()) == ["images", "masks"]
     assert len(list((dataset / "images").glob("*.pbt"))) == 3
     assert len(list((dataset / "masks").glob("*.pbt"))) == 3
     capsys.readouterr()
@@ -301,9 +308,9 @@ def test_a_failed_regenerate_leaves_a_dataset_nothing_reads(tmp_path, monkeypatc
     with pytest.raises(OSError, match="disk full"):
         harness.cmd_generate(changed, tmp_path)
     # one scene is rewritten, the others are from the old section
-    assert not (tmp_path / "dataset" / "generate.json").exists()
+    assert "generate" not in json.loads((tmp_path / "run_manifest.json").read_text())["stages"]
     for config in (cfg, changed):
-        with pytest.raises(ValidationError, match="generate.json is missing or names another.*run generate first"):
+        with pytest.raises(ValidationError, match=r"has no generate entry for it\); run generate first"):
             harness.cmd_patchify(config, tmp_path)
         with pytest.raises(ValidationError, match="run generate first"):
             harness.build_split_data(config, tmp_path)
@@ -320,13 +327,44 @@ def test_patchify_and_assembly_refuse_a_dataset_from_another_section(tmp_path, c
         harness.cmd_patchify(changed, tmp_path)
     with pytest.raises(ValidationError, match="not generated from this config's dataset section"):
         harness.build_split_data(changed, tmp_path)
-    # a marker that is not valid JSON vouches for nothing, and generate replaces it
-    (tmp_path / "dataset" / "generate.json").write_text("{")
+    # an entry with another inputs hash vouches for nothing, and generate replaces it
+    manifest = tmp_path / "run_manifest.json"
+    doc = json.loads(manifest.read_text())
+    doc["stages"]["generate"]["inputs_hash"] = "0" * 64
+    manifest.write_text(json.dumps(doc))
     with pytest.raises(ValidationError, match="not generated from this config's dataset section"):
         harness.cmd_patchify(cfg, tmp_path)
     capsys.readouterr()
     harness.cmd_generate(cfg, tmp_path)
     assert "generated 3 images" in capsys.readouterr().out
+    harness.cmd_patchify(cfg, tmp_path)
+
+
+def test_without_its_run_manifest_entry_the_dataset_must_be_generated_again(tmp_path, capsys):
+    cfg = mini_config()
+    harness.cmd_generate(cfg, tmp_path)
+    harness.cmd_patchify(cfg, tmp_path)
+    manifest = tmp_path / "run_manifest.json"
+
+    def refused():
+        for stage in (harness.cmd_patchify, harness.build_split_data):
+            with pytest.raises(ValidationError, match="run generate first"):
+                stage(cfg, tmp_path)
+
+    # entries as runs wrote them before inputs_hash existed vouch for nothing
+    doc = json.loads(manifest.read_text())
+    for entry in doc["stages"].values():
+        entry["config_hash"] = harness.config_hash(cfg)
+        del entry["inputs_hash"]
+    manifest.write_text(json.dumps(doc))
+    refused()
+    # the entry is the only record of the dataset, so deleting the manifest discards it
+    manifest.unlink()
+    refused()
+    capsys.readouterr()
+    harness.cmd_generate(cfg, tmp_path)
+    printed = capsys.readouterr().out
+    assert "generated 3 images" in printed and "skipping" not in printed
     harness.cmd_patchify(cfg, tmp_path)
 
 
@@ -364,11 +402,10 @@ def test_interrupted_patchify_keeps_the_previous_index(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="read failed"):
         harness.cmd_patchify(cfg, tmp_path)
     assert index.read_bytes() == before
-    # the failed run deleted the stamp and its run-manifest entry, so the kept
-    # index is no longer read
+    # the failed run dropped its run-manifest entry, so the kept index is no longer read
     assert [p.name for p in index.parent.iterdir()] == ["patch_index.jsonl"]
     assert "patchify" not in json.loads((tmp_path / "run_manifest.json").read_text())["stages"]
-    with pytest.raises(ValidationError, match=r"patchify.json is missing or names others\); re-run patchify"):
+    with pytest.raises(ValidationError, match=r"has no patchify entry for them\); re-run patchify"):
         harness.cmd_analyze(cfg, tmp_path)
 
 
@@ -442,12 +479,14 @@ def test_train_artifacts(tiny_run):
 
 
 @pytest.mark.parametrize("failure", ["checkpoint", "predictions", "swap"])
-def test_failed_train_write_keeps_the_previous_trial_files(tiny_run, monkeypatch, failure):
-    cfg, out = tiny_run
+def test_failed_train_write_keeps_the_previous_trial_files(tiny_run, tmp_path, monkeypatch, failure):
+    cfg, out = _copy_run(tiny_run, tmp_path)
     # a rerun with another learning rate writes other bytes, so any mix of the two runs shows
     changed = json.loads(json.dumps(cfg))
     changed["train"]["lr"] = cfg["train"]["lr"] / 2
     train_dir = out / "train"
+    table = out / "report" / "final_table.csv"
+    previous_table = table.read_bytes()
 
     def files():
         return {p.relative_to(train_dir): p.read_bytes() for p in train_dir.rglob("*") if p.is_file()}
@@ -487,6 +526,23 @@ def test_failed_train_write_keeps_the_previous_trial_files(tiny_run, monkeypatch
     assert files() == before
     assert not [p.name for p in out.iterdir() if p.name.startswith(".train")]
 
+    monkeypatch.undo()
+    stages = json.loads((out / "run_manifest.json").read_text())["stages"]
+    for name, entry in stages.items():
+        for rel in entry["artifacts"].values():
+            assert (out / rel).exists(), (name, rel)
+    with pytest.raises(ValidationError, match="re-run train"):
+        harness.cmd_report(changed, out)
+    if failure == "swap":
+        # the entry was dropped before the swap, so nothing vouches for train/
+        assert "train" not in stages
+        with pytest.raises(ValidationError, match="re-run train"):
+            harness.cmd_report(cfg, out)
+    else:
+        # a failure before the swap keeps the previous results and their entry
+        harness.cmd_report(cfg, out)
+        assert table.read_bytes() == previous_table
+
 
 def test_gerne_beta_fixed_by_config_skips_tuning(tiny_run):
     _, out = tiny_run
@@ -508,13 +564,24 @@ def test_report_table_layout(tiny_run):
             float(mean), float(std)
 
 
+def _inputs_hash(cfg, *sections):
+    return harness._sha256([cfg[section] for section in sections])
+
+
 def test_run_manifest_tracks_every_stage(tiny_run):
     cfg, out = tiny_run
     doc = json.loads((out / "run_manifest.json").read_text())
-    assert "config_hash" not in doc  # each stage records its own
-    assert set(doc["stages"]) == {"generate", "patchify", "analyze", "train", "report"}
+    assert "config_hash" not in doc and "inputs_hash" not in doc  # each stage records its own
+    # each entry hashes exactly the sections its stage's output is made from
+    assert {name: stage["inputs_hash"] for name, stage in doc["stages"].items()} == {
+        "generate": _inputs_hash(cfg, "dataset"),
+        "patchify": _inputs_hash(cfg, "dataset", "patch"),
+        "analyze": _inputs_hash(cfg, "dataset", "patch", "analysis"),
+        "train": _inputs_hash(cfg, "dataset", "patch", "model", "train"),
+        "report": _inputs_hash(cfg, "dataset", "patch", "model", "train"),
+    }
     for stage in doc["stages"].values():
-        assert stage["config_hash"] == harness.config_hash(cfg)
+        assert "config_hash" not in stage
         for rel in stage["artifacts"].values():
             assert (out / rel).exists()
     # only generate (a job per scene) and train run jobs on a process pool; the
@@ -529,7 +596,7 @@ def test_run_manifest_tracks_every_stage(tiny_run):
         assert isinstance(stage["peak_rss_mb"], float) and stage["peak_rss_mb"] > 0
 
 
-def test_run_manifest_keeps_each_stages_config_hash(tmp_path):
+def test_run_manifest_keeps_each_stages_inputs_hash(tmp_path):
     cfg = mini_config()
     harness.cmd_generate(cfg, tmp_path)
     harness.cmd_patchify(cfg, tmp_path)
@@ -539,11 +606,12 @@ def test_run_manifest_keeps_each_stages_config_hash(tmp_path):
     harness.cmd_analyze(rerun, tmp_path)
     stages = json.loads((tmp_path / "run_manifest.json").read_text())["stages"]
     # the rerun relabels only its own entry, not the stages it did not run
-    assert {name: stage["config_hash"] for name, stage in stages.items()} == {
-        "generate": harness.config_hash(cfg),
-        "patchify": harness.config_hash(cfg),
-        "analyze": harness.config_hash(rerun),
+    assert {name: stage["inputs_hash"] for name, stage in stages.items()} == {
+        "generate": _inputs_hash(cfg, "dataset"),
+        "patchify": _inputs_hash(cfg, "dataset", "patch"),
+        "analyze": _inputs_hash(rerun, "dataset", "patch", "analysis"),
     }
+    assert stages["analyze"]["inputs_hash"] != _inputs_hash(cfg, "dataset", "patch", "analysis")
 
 
 def test_run_manifest_names_only_existing_files_after_every_stage(tmp_path, capsys, monkeypatch):
@@ -739,10 +807,9 @@ def test_analyze_and_assembly_refuse_an_index_from_another_patch_section(tmp_pat
     changed["patch"].update(patch)
     changed_path = tmp_path / "changed.json"
     changed_path.write_text(json.dumps(changed))
-    stamp = out / "patches" / "patchify.json"
     capsys.readouterr()
     assert cli_main(["analyze", "--config", str(changed_path), "--out", str(out)]) == 2
-    assert f"({stamp} is missing or names others); re-run patchify" in capsys.readouterr().err
+    assert "(run_manifest.json has no patchify entry for them); re-run patchify" in capsys.readouterr().err
     assert not (out / "analysis").exists()
     with pytest.raises(ValidationError, match="re-run patchify"):
         harness.build_split_data(changed, out)
@@ -796,18 +863,56 @@ def test_cli_honors_the_output_env_var(tiny_run, tmp_path, monkeypatch):
     assert table.read_text() == before
 
 
-@pytest.mark.parametrize("section, key", [("train", "epochs"), ("analysis", "n_bins")])
+@pytest.mark.parametrize("section, key", [("train", "epochs"), ("model", "k1")])
 def test_cli_report_refuses_results_from_another_config(tiny_run, tmp_path, capsys, section, key):
     cfg, out = tiny_run
     changed = json.loads(json.dumps(cfg))
-    changed[section][key] += 1  # results.json holds the whole config's hash, so any edit counts
+    changed[section][key] += 1
     path = _write_config(tmp_path, changed)
     table, manifest = out / "report" / "final_table.csv", out / "run_manifest.json"
     before = table.read_bytes(), manifest.read_bytes()
     capsys.readouterr()
     assert cli_main(["report", "--config", str(path), "--out", str(out)]) == 2
-    assert "were not made from this config; re-run train" in capsys.readouterr().err
+    assert "model and train sections (run_manifest.json has no train entry for them); re-run train" in (
+        capsys.readouterr().err
+    )
     assert (table.read_bytes(), manifest.read_bytes()) == before
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("dataset.noise_sigma", 0.08), ("patch.epsilon", 0.2), ("analysis.n_bins", 21), ("model.k1", 9),
+     ("train.epochs", 4)],
+)
+def test_each_stage_reads_only_its_own_sections(tiny_run, tmp_path, capsys, field, value):
+    cfg, out = _copy_run(tiny_run, tmp_path)
+    section, key = field.split(".")
+    changed = json.loads(json.dumps(cfg))
+    assert changed[section][key] != value
+    changed[section][key] = value
+    path = _write_config(tmp_path, changed)
+    table = out / "report" / "final_table.csv"
+    before = table.read_bytes()
+    capsys.readouterr()
+    analyzed = cli_main(["analyze", "--config", str(path), "--out", str(out)])
+    refused = "re-run patchify" in capsys.readouterr().err
+    # analyze reads the dataset and patch sections through the index, and its own
+    assert (analyzed, refused) == ((2, True) if section in ("dataset", "patch") else (0, False))
+    reported = cli_main(["report", "--config", str(path), "--out", str(out)])
+    refused = "re-run train" in capsys.readouterr().err
+    if section == "analysis":  # train's output is not made from it, so no retrain
+        assert (reported, refused) == (0, False)
+        assert table.read_bytes() == before
+    else:
+        assert (reported, refused) == (2, True)
+
+
+def test_cli_report_refuses_results_that_are_not_json(tiny_run, tmp_path, capsys):
+    cfg, out = _copy_run(tiny_run, tmp_path)
+    (out / "train" / "results.json").write_text("{")
+    capsys.readouterr()
+    assert cli_main(["report", "--config", str(_write_config(tmp_path, cfg)), "--out", str(out)]) == 2
+    assert "are not valid JSON; re-run train" in capsys.readouterr().err
 
 
 def test_report_requires_train_results(tmp_path):
