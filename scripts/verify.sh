@@ -31,12 +31,15 @@ python -m pytest -q --continue-on-collection-errors
 echo "== benchmark self-tests"
 python3 -m pytest perfbench -q
 # one short run per workload at seed 0, whose digest perfbench/golden.json
-# pins; the last line of a run reports whether every iteration's output matched
+# pins; the last line of a run reports whether every iteration's output matched,
+# and its peak_rss_mb is printed for information, with no bound
 echo "== benchmark output check"
 for workload in grid trajectory corpus; do
   last=$(python3 perfbench/run.py --workload "$workload" --seed 0 --seconds 1 2>&1 | tail -n 1)
   case "$last" in
-    *'"correct": true'*) echo "ok       $workload" ;;
+    *'"correct": true'*)
+      rss=$(python3 -c 'import json, sys; print("%.1f" % json.loads(sys.argv[1])["metrics"]["peak_rss_mb"]["value"])' "$last")
+      echo "ok       $workload (peak $rss MB)" ;;
     *) echo "FAILED   $workload: $last" >&2; exit 1 ;;
   esac
 done
@@ -76,14 +79,16 @@ for stage in generate patchify analyze train report; do
   python3 -m patchbias "$stage" --config "$out/config.json" --out "$out/run" > /dev/null
 done
 
-# peak RSS is the stage process's ru_maxrss: the caller only, not its forked helpers
-echo "== stage seconds and peak RSS (run_manifest.json)"
+# peak RSS and minor faults are the stage process's ru_maxrss and ru_minflt:
+# the caller only, not its forked helpers
+echo "== stage seconds, peak RSS and minor faults (run_manifest.json)"
 python3 -c '
 import json, sys
 stages = json.load(open(sys.argv[1]))["stages"]
 for name in ("generate", "patchify", "analyze", "train", "report"):
     s = stages[name]
-    print("%-9s %8.2f s on %d worker(s), peak %7.1f MB" % (name, s["seconds"], s["workers"], s["peak_rss_mb"]))
+    print("%-9s %8.2f s on %d worker(s), peak %7.1f MB, %8d minor faults"
+          % (name, s["seconds"], s["workers"], s["peak_rss_mb"], s["minflt"]))
 ' "$out/run/run_manifest.json"
 
 status=0

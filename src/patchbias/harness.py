@@ -315,11 +315,12 @@ def _update_run_manifest(
     out_root: Path, config: dict, stage: str, artifacts: dict, seconds: float, workers: int = 1
 ) -> None:
     """Record a finished stage: the hash of the sections it read, when, how long, on how many processes,
-    its peak memory, and what it wrote.
+    its peak memory and minor page faults, and what it wrote.
 
-    `peak_rss_mb` is the stage process's `ru_maxrss`: the calling process only,
-    not the helpers `run_jobs` forks, and, when one process runs several
-    stages, the peak so far rather than this stage's own.
+    `peak_rss_mb` is the stage process's `ru_maxrss` and `minflt` its
+    `ru_minflt`: the calling process only, not the helpers `run_jobs` forks,
+    and, when one process runs several stages, the totals so far rather than
+    this stage's own.
     """
     path = out_root / "run_manifest.json"
     doc = _read_run_manifest(out_root)
@@ -327,12 +328,14 @@ def _update_run_manifest(
     for rel in artifacts.values():
         if not (out_root / rel).exists():
             raise ValidationError(f"manifest would reference a missing artifact: {rel}")
+    usage = resource.getrusage(resource.RUSAGE_SELF)
     doc["stages"][stage] = {
         "inputs_hash": _inputs_hash(config, stage),
         "completed_utc": datetime.now(timezone.utc).isoformat(),
         "seconds": round(seconds, 3),
         "workers": workers,
-        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),
+        "minflt": usage.ru_minflt,
         "artifacts": artifacts,
     }
     write_atomic(path, json.dumps(doc, indent=2, sort_keys=True))
@@ -577,7 +580,7 @@ def cmd_analyze(config: dict, out_root: str | Path | None, predictions: str | Pa
 
 
 def build_split_data(
-    config: dict, out_root: Path
+    config: dict, out_root: str | Path
 ) -> tuple[dict[float, tuple[SplitData, SplitData, SplitData]], dict[str, list[PatchRecord]]]:
     """Assemble dense per-split arrays from the patch index plus pixel data.
 
@@ -587,6 +590,7 @@ def build_split_data(
     group ids differ. The arrays stay raw and nothing here keeps a reference
     to them, so `cmd_train` can replace each with its pooled copy and free it.
     """
+    out_root = Path(out_root)
     _require_generated(config, out_root)
     stored = _patchified_index(config, out_root)
     taus = config["patch"]["taus"]

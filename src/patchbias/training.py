@@ -30,7 +30,11 @@ job predicts each epoch snapshot once on the shared validation array, selects
 for every (threshold, metric) pair from those predictions, and predicts test
 once per distinct chosen epoch. The single-trajectory entry points
 (`train_history`, `select_checkpoint`, `evaluate_outcome`) also take raw
-splits: they pool once with `model.pool`, which passes a pooled array through.
+splits. `train_history` pools the train split once. Every prediction goes
+through `_predictions`, which walks a split in `_EVAL_CHUNK`-row chunks,
+pools each chunk with `model.pool` (a pass-through for pooled input) and
+predicts it under every snapshot before the next, so evaluation never holds a
+pooled copy of val or test.
 """
 
 from __future__ import annotations
@@ -266,19 +270,24 @@ class TrialOutcome:
         }
 
 
-def _predict_split(spec: ClassifierSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Labels for a pooled split `x`, predicted in chunks so large splits stay within memory."""
-    out = np.empty(x.shape[0], dtype=np.int64)
-    chunk = 512
-    for lo in range(0, x.shape[0], chunk):
-        out[lo : lo + chunk] = predict(spec, params, x[lo : lo + chunk])
+# rows pooled and predicted at a time: bounds evaluation's temporaries (the
+# pooled chunk and conv1's im2col columns) independently of the split size
+_EVAL_CHUNK = 64
+
+
+def _predictions(spec: ClassifierSpec, snapshots: list[np.ndarray], x: np.ndarray) -> list[np.ndarray]:
+    """Labels for split `x` (raw or pooled) under each parameter vector, in the order given.
+
+    Each chunk of `x` is pooled once and predicted under every snapshot, so
+    no pooled copy of the whole split exists.
+    """
+    pool(spec, x[:0])  # the shape check, which an empty split would otherwise skip
+    out = [np.empty(x.shape[0], dtype=np.int64) for _ in snapshots]
+    for lo in range(0, x.shape[0], _EVAL_CHUNK):
+        chunk = pool(spec, x[lo : lo + _EVAL_CHUNK])
+        for labels, params in zip(out, snapshots):
+            labels[lo : lo + _EVAL_CHUNK] = predict(spec, params, chunk)
     return out
-
-
-def _val_predictions(history: History, val: SplitData) -> list[np.ndarray]:
-    """Validation labels predicted by each epoch snapshot, in epoch order."""
-    x = pool(history.spec, val.x)
-    return [_predict_split(history.spec, params, x) for params in history.snapshots]
 
 
 def _choose(
@@ -315,7 +324,7 @@ def select_checkpoint(
             raise ValidationError(
                 f"worst-group selection needs every group in the validation split; missing {missing}"
             )
-    return _choose(history, _val_predictions(history, val), val, eval_metric)
+    return _choose(history, _predictions(history.spec, history.snapshots, val.x), val, eval_metric)
 
 
 def _outcome(
@@ -328,7 +337,7 @@ def _outcome(
 def _score_on_test(
     spec: ClassifierSpec, checkpoint: Checkpoint, log: list[EpochRecord], test: SplitData
 ) -> TrialOutcome:
-    preds = _predict_split(spec, checkpoint.params, pool(spec, test.x))
+    [preds] = _predictions(spec, [checkpoint.params], test.x)
     return _outcome(spec.seed, checkpoint, log, test, preds)
 
 
@@ -462,16 +471,14 @@ def run_experiment(
         # and ERM row: each snapshot is predicted once on the shared validation
         # array, and test once per distinct chosen epoch
         history = train_history(model_spec, METHOD_ERM, shared[0], seed=seed, **sgd)
-        val_preds = _val_predictions(history, shared[1])
-        test_preds: dict[int, np.ndarray] = {}
-        outcomes = []
-        for _, val, test in data_by_tau.values():
-            for metric in erm_metrics:
-                checkpoint, log = _choose(history, val_preds, val, metric)
-                if checkpoint.epoch not in test_preds:
-                    test_preds[checkpoint.epoch] = _predict_split(history.spec, checkpoint.params, test.x)
-                outcomes.append(_outcome(seed, checkpoint, log, test, test_preds[checkpoint.epoch]))
-        return outcomes
+        val_preds = _predictions(history.spec, history.snapshots, shared[1].x)
+        choices = [
+            (*_choose(history, val_preds, val, metric), test)
+            for _, val, test in data_by_tau.values() for metric in erm_metrics
+        ]
+        chosen = {cp.epoch: cp.params for cp, _, _ in choices}
+        test_preds = dict(zip(chosen, _predictions(history.spec, list(chosen.values()), shared[2].x)))
+        return [_outcome(seed, cp, log, test, test_preds[cp.epoch]) for cp, log, test in choices]
 
     def gerne_history(tau: float, seed: int, beta: float) -> History:
         return train_history(model_spec, METHOD_GERNE, data_by_tau[tau][0], seed=seed, beta=beta, **sgd)

@@ -594,6 +594,7 @@ def test_run_manifest_tracks_every_stage(tiny_run):
     }
     for stage in doc["stages"].values():
         assert isinstance(stage["peak_rss_mb"], float) and stage["peak_rss_mb"] > 0
+        assert type(stage["minflt"]) is int and stage["minflt"] >= 0
 
 
 def test_run_manifest_keeps_each_stages_inputs_hash(tmp_path):
@@ -678,6 +679,17 @@ def test_build_split_data_shares_pixels_across_thresholds(tiny_run):
     assert train1.groups is not train2.groups
     assert test1.size == len(by_split["test"])
     assert train1.size + val1.size + test1.size == 720
+
+
+def test_build_split_data_takes_a_str_out_root(tiny_run):
+    cfg, out = tiny_run
+    from_path, _ = harness.build_split_data(cfg, out)
+    from_str, _ = harness.build_split_data(cfg, str(out))
+    assert from_str.keys() == from_path.keys()
+    for tau, splits in from_path.items():
+        for a, b in zip(splits, from_str[tau]):
+            for field in ("x", "y", "groups"):
+                assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
 
 
 def test_train_frees_the_raw_split_arrays_before_training(tiny_run, monkeypatch):

@@ -1,5 +1,7 @@
 """Optimizer arithmetic, extrapolated updates, checkpoint selection, experiment grid."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -301,6 +303,38 @@ def test_raw_and_pooled_splits_give_the_same_trajectory_and_outcome():
         np.testing.assert_array_equal(o_raw.test_preds, o_pooled.test_preds)
 
 
+def test_evaluation_pools_chunk_by_chunk_and_holds_no_pooled_split():
+    """Raw splits of many chunks give the pooled outcome bytes, without a pooled copy of either split."""
+    spec = ClassifierSpec(input_height=17, input_width=16, channels=1, k1=2, k2=3, pool_target=9, seed=0)
+    assert spec.pool_factor == 2
+    train = _split(48, 50, hw=(17, 16))
+    history = train_history(spec, "gerne", train, seed=4, epochs=3, batch_size=16, lr=0.1, momentum=0.9, beta=0.5)
+    # neither size is a multiple of the chunk, so each split ends in a short chunk
+    raw_val, raw_test = _split(1000, 51, hw=(17, 16)), _split(700, 52, hw=(17, 16))
+    pooled_val, pooled_test = (SplitData(x=pool(spec, s.x), y=s.y, groups=s.groups) for s in (raw_val, raw_test))
+
+    # the pooled call goes first: the first np.unique imports numpy.ma, about 1 MB traced
+    from_pooled = evaluate_outcome(history, pooled_val, pooled_test, "wga")
+    tracemalloc.start()
+    try:
+        from_raw = evaluate_outcome(history, raw_val, raw_test, "wga")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < pooled_val.x.nbytes
+    assert from_raw.checkpoint.epoch == from_pooled.checkpoint.epoch
+    assert from_raw.log == from_pooled.log
+    assert from_raw.test_preds.tobytes() == from_pooled.test_preds.tobytes()
+
+    # a split in neither the raw nor the pooled shape is refused, also when it is empty
+    for n in (40, 0):
+        wrong = _split(n, 53, hw=(16, 16))
+        with pytest.raises(ValidationError, match="matches neither"):
+            evaluate_outcome(history, wrong, raw_test, "bca")
+        with pytest.raises(ValidationError, match="matches neither"):
+            evaluate_outcome(history, raw_val, wrong, "bca")
+
+
 def _experiment_config(**overrides):
     base = default_config()["train"]
     base.update(batch_size=16, epochs=2, lr=0.1, momentum=0.9, seed=3, trials=1, beta=0.5)
@@ -391,8 +425,8 @@ def test_run_experiment_requires_pooled_splits_before_training(monkeypatch):
 @pytest.mark.parametrize("beta, trajectories", [(None, 10), (0.5, 6)])
 def test_run_experiment_trains_each_trajectory_once(monkeypatch, beta, trajectories):
     histories, selected, val_predicted, test_predicted = [], [], [], []
-    real_train, real_select, real_predict = (
-        training.train_history, training.select_checkpoint, training._predict_split
+    real_train, real_select, real_predictions = (
+        training.train_history, training.select_checkpoint, training._predictions
     )
     data = _two_thresholds()
     _, val, test = data[0.1]  # the thresholds share the arrays
@@ -406,18 +440,18 @@ def test_run_experiment_trains_each_trajectory_once(monkeypatch, beta, trajector
         selected.append(history)
         return real_select(history, val, eval_metric)
 
-    def counted_predict(spec, params, x):
+    def counted_predictions(spec, snapshots, x):
         if np.array_equal(x, val.x):
-            val_predicted.append(params)
+            val_predicted.extend(snapshots)
         elif np.array_equal(x, test.x):
-            test_predicted.append(params)
-        return real_predict(spec, params, x)
+            test_predicted.extend(snapshots)
+        return real_predictions(spec, snapshots, x)
 
     # the counters live in this process, so every job must run here
     monkeypatch.setattr(parallel, "worker_count", lambda: 1)
     monkeypatch.setattr(training, "train_history", counted)
     monkeypatch.setattr(training, "select_checkpoint", counted_select)
-    monkeypatch.setattr(training, "_predict_split", counted_predict)
+    monkeypatch.setattr(training, "_predictions", counted_predictions)
     config = _experiment_config(trials=2, beta=beta, beta_grid=[-0.5, 0.0, 1.0])
     report = run_experiment(SPEC, data, config)
     # ERM once per seed for every threshold; per threshold, the grid at the first
