@@ -61,5 +61,5 @@ image, mask = generate_scene(SceneSpec(seed=501, height=96, width=96, channels=3
                                        noise_sigma=0.0, rim_thickness=2.0))
 patch = partition(image, mask, grid)[4]
 inferred = infer_tissue(patch.pixels, epsilon=0.05)
-print("\nnoise-free intensity inference matches the mask:",
-      float(inferred.mean()) == compute_ratios(patch.mask).r_tissue)
+assert float(inferred.mean()) == compute_ratios(patch.mask).r_tissue
+print("\nnoise-free intensity inference matches the mask")

@@ -4,10 +4,10 @@ One JSON config drives everything. `CONFIG_SCHEMA` states every field and
 what a valid value is, and `validate_config` checks a config against it
 before a stage writes anything. Stages write under a single output root:
 
-    dataset/    images/, masks/
+    dataset/    images/<id>.npy, masks/<id>.npy
     patches/    patch_index.jsonl
     analysis/   histogram CSVs, bias_tau*.json
-    train/      <cell>/trial<k>/{epochs.csv, checkpoint.pbt, checkpoint.json,
+    train/      <cell>/trial<k>/{epochs.csv, checkpoint.npy, checkpoint.json,
                 test_predictions.csv}, results.json
     report/     final_table.csv
     run_manifest.json
@@ -682,7 +682,7 @@ def cmd_train(config: dict, out_root: str | Path | None) -> RunReport:
                     fh.write("epoch,train_loss,val_wga,val_bca\n")
                     for row in outcome.log:
                         fh.write(f"{row.epoch},{row.train_loss:.6f},{row.val_wga:.6f},{row.val_bca:.6f}\n")
-                save_checkpoint(tdir / "checkpoint.pbt", model_spec, outcome.checkpoint.params)
+                save_checkpoint(tdir / "checkpoint.npy", model_spec, outcome.checkpoint.params)
                 with open(tdir / "test_predictions.csv", "w", encoding="utf-8") as fh:
                     fh.write("image_id,grid_row,grid_col,label,pred\n")
                     for rec, pred in zip(test_records, outcome.test_preds):

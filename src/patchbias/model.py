@@ -279,7 +279,7 @@ def predict(spec: ClassifierSpec, params: np.ndarray, batch: np.ndarray) -> np.n
 
 
 def save_checkpoint(path: str | Path, spec: ClassifierSpec, params: np.ndarray) -> None:
-    """Tensor container holds the flat parameters (as float32); JSON sidecar holds the spec.
+    """A `.npy` file holds the flat float64 parameters as they are; a JSON sidecar holds the spec.
 
     Both files are written in full to temporaries before either replaces its
     target, so a failed write leaves the previous checkpoint pair intact.
@@ -288,21 +288,31 @@ def save_checkpoint(path: str | Path, spec: ClassifierSpec, params: np.ndarray) 
     sidecar = {
         "classifier_spec": asdict(spec),
         "layout": [[name, list(shape), offset] for name, shape, offset in param_layout(spec)],
-        "stored_dtype": "float32",
     }
     with atomic_path(path) as tensor_tmp, atomic_path(path.with_suffix(".json")) as sidecar_tmp:
-        write_tensor(tensor_tmp, params.astype(np.float32))
+        write_tensor(tensor_tmp, params)
         sidecar_tmp.write_text(json.dumps(sidecar, indent=2, sort_keys=True))
 
 
 def load_checkpoint(path: str | Path) -> tuple[ClassifierSpec, np.ndarray]:
+    """The spec and the float64 parameters of a checkpoint pair.
+
+    A missing or malformed sidecar, or a stored array that is not the float64
+    vector its layout describes, is a ValidationError naming the file.
+    """
     path = Path(path)
-    sidecar = json.loads(path.with_suffix(".json").read_text())
-    spec = ClassifierSpec(**sidecar["classifier_spec"])
-    values = read_tensor(path).astype(np.float64)
-    layout = tuple((name, tuple(shape), offset) for name, shape, offset in sidecar["layout"])
+    sidecar_path = path.with_suffix(".json")
+    try:
+        sidecar = json.loads(sidecar_path.read_text())
+        spec = ClassifierSpec(**sidecar["classifier_spec"])
+        layout = tuple((name, tuple(shape), offset) for name, shape, offset in sidecar["layout"])
+    except (OSError, ValueError, KeyError, TypeError) as e:
+        raise ValidationError(f"{sidecar_path}: unreadable checkpoint sidecar: {e!r}") from e
+    values = read_tensor(path)
     if layout != param_layout(spec):
         raise ValidationError(f"{path}: stored layout does not match the classifier spec")
+    if values.dtype != np.float64:
+        raise ValidationError(f"{path}: stored parameters are {values.dtype}, not float64")
     if values.shape != (_param_count(layout),):
         raise ValidationError(f"{path}: stored parameter count does not match the layout")
     return spec, values

@@ -251,7 +251,7 @@ def generate_scene(spec: SceneSpec) -> tuple[np.ndarray, np.ndarray]:
 
 def scene_paths(image_id: str) -> tuple[str, str]:
     """The (image, mask) files of one scene, relative to the dataset directory."""
-    return f"images/{image_id}.pbt", f"masks/{image_id}.pbt"
+    return f"images/{image_id}.npy", f"masks/{image_id}.npy"
 
 
 @dataclass
@@ -306,7 +306,7 @@ def _render(entry: ManifestEntry, out: Path) -> None:
 
 
 def materialize(entries: list[ManifestEntry], out_dir: str | Path) -> None:
-    """Render every scene to PBTENSR1 files under `out_dir`, one job per scene."""
+    """Render every scene to `.npy` files under `out_dir`, one job per scene."""
     out = Path(out_dir)
     (out / "images").mkdir(parents=True, exist_ok=True)
     (out / "masks").mkdir(parents=True, exist_ok=True)

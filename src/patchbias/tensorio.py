@@ -1,83 +1,63 @@
-"""Flat binary tensor container used for images, masks, and checkpoints.
+"""Images, masks and checkpoints as version 1.0 `.npy` files (NEP 1).
 
-Layout: 8-byte magic ``PBTENSR1``, u32 rank, u32 dims (row-major),
-u8 dtype tag (0 = float32 little-endian, 1 = uint8), then raw data.
-All integers are little-endian.
+Only float32, float64 and uint8 arrays in C order are stored, so any numpy
+reads the files back with `np.load(path, allow_pickle=False)`. The reader
+is stricter than `np.load`: any malformed file, including one with bytes
+after the payload, raises ValidationError.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import struct
 from pathlib import Path
+from tokenize import TokenError
 
 import numpy as np
+from numpy.lib import format as npy
 
 from .errors import ValidationError
 
-MAGIC = b"PBTENSR1"
-
-_TAG_F32 = 0
-_TAG_U8 = 1
-
-_DTYPE_TO_TAG = {np.dtype("<f4"): _TAG_F32, np.dtype("u1"): _TAG_U8}
-_TAG_TO_DTYPE = {_TAG_F32: np.dtype("<f4"), _TAG_U8: np.dtype("u1")}
+_DTYPES = (np.dtype("<f4"), np.dtype("<f8"), np.dtype("u1"))
 
 
 def write_tensor(path: str | Path, array: np.ndarray) -> None:
-    """Write a float32 or uint8 array to `path` in PBTENSR1 layout."""
-    arr = np.asarray(array)  # tobytes(order="C") copies, so contiguity is irrelevant
-    if arr.dtype not in _DTYPE_TO_TAG:
-        raise ValidationError(
-            f"unsupported dtype {arr.dtype}; only float32 and uint8 can be stored"
-        )
-    tag = _DTYPE_TO_TAG[arr.dtype]
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", arr.ndim))
-        fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        fh.write(struct.pack("<B", tag))
-        fh.write(arr.tobytes(order="C"))
-
-
-def _unpack_header(fh, fmt: str, path) -> tuple:
-    """Read and unpack one header field; a short read is a ValidationError."""
-    size = struct.calcsize(fmt)
-    raw = fh.read(size)
-    if len(raw) != size:
-        raise ValidationError(f"{path}: header cut short")
-    return struct.unpack(fmt, raw)
+    """Write a float32, float64 or uint8 array to `path` as a `.npy` file."""
+    arr = np.asarray(array, order="C")  # a Fortran-ordered array is stored in C order
+    if arr.dtype not in _DTYPES:
+        raise ValidationError(f"unsupported dtype {arr.dtype}; only float32, float64 and uint8 can be stored")
+    with open(path, "wb") as fh:  # np.save(path) would append ".npy" to the name
+        npy.write_array(fh, arr, version=(1, 0), allow_pickle=False)
 
 
 def read_tensor(path: str | Path) -> np.ndarray:
-    """Read a PBTENSR1 file back into a numpy array.
+    """Read a `.npy` file written by `write_tensor` back into a numpy array.
 
-    Any malformed file raises ValidationError: a bad magic, a header cut
-    short, an implausible rank, an unknown tag, or a payload that is not
-    exactly the rest of the file. The declared payload size is checked
-    against the file size before the payload is read.
+    Any malformed file raises ValidationError naming `path`: a bad magic or
+    version, an unparsable header, a dtype outside the three stored ones,
+    Fortran order, or a payload that is not exactly the rest of the file.
+    The declared payload size is checked against the file size before the
+    array is allocated.
     """
-    with open(path, "rb") as fh:
-        file_size = os.fstat(fh.fileno()).st_size
-        magic = fh.read(8)
-        if magic != MAGIC:
-            raise ValidationError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-        (rank,) = _unpack_header(fh, "<I", path)
-        if rank > 8:
-            raise ValidationError(f"{path}: implausible rank {rank}")
-        dims = _unpack_header(fh, f"<{rank}I", path)
-        (tag,) = _unpack_header(fh, "<B", path)
-        if tag not in _TAG_TO_DTYPE:
-            raise ValidationError(f"{path}: unknown dtype tag {tag}")
-        dtype = _TAG_TO_DTYPE[tag]
-        nbytes = math.prod(dims) * dtype.itemsize  # Python ints, so huge dims cannot overflow
-        remaining = file_size - fh.tell()
-        if nbytes > remaining:
-            raise ValidationError(f"{path}: truncated payload: header declares {nbytes} bytes, {remaining} follow")
-        if nbytes < remaining:
-            raise ValidationError(f"{path}: trailing bytes after payload")
-        raw = fh.read(nbytes)
-    if len(raw) != nbytes:  # the file shrank after the size check
-        raise ValidationError(f"{path}: truncated payload")
-    return np.frombuffer(raw, dtype=dtype).reshape(dims).copy()
+    try:
+        with open(path, "rb") as fh:
+            version = npy.read_magic(fh)
+            if version != (1, 0):
+                raise ValueError(f"unsupported .npy version {version}")
+            shape, fortran_order, dtype = npy.read_array_header_1_0(fh)
+            if dtype not in _DTYPES:
+                raise ValueError(f"unsupported dtype {dtype}")
+            if fortran_order:
+                raise ValueError("Fortran-ordered arrays are not stored")
+            nbytes = math.prod(shape) * dtype.itemsize  # Python ints, so huge dims cannot overflow
+            remaining = os.fstat(fh.fileno()).st_size - fh.tell()
+            if nbytes > remaining:
+                raise ValueError(f"truncated payload: header declares {nbytes} bytes, {remaining} follow")
+            if nbytes < remaining:
+                raise ValueError("trailing bytes after payload")
+            array = np.empty(shape, dtype)
+            if fh.readinto(array.reshape(-1).view(np.uint8)) != nbytes:  # the file shrank after the size check
+                raise ValueError("truncated payload")
+    except (ValueError, TypeError, SyntaxError, TokenError) as e:  # what numpy's header parser raises
+        raise ValidationError(f"{path}: {e}") from e
+    return array

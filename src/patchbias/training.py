@@ -106,7 +106,11 @@ class SplitData:
 
 
 def _missing_groups(groups: np.ndarray) -> list[int]:
-    return sorted(set(range(N_GROUPS)) - set(np.unique(groups).tolist()))
+    """The group ids in [0, N_GROUPS) that `groups` lacks; an id outside that range is a ValidationError."""
+    # np.bincount, not np.unique: the first np.unique call in a process imports numpy.ma
+    if groups.size and (groups.min() < 0 or groups.max() >= N_GROUPS):
+        raise ValidationError(f"group ids must lie in [0, {N_GROUPS})")
+    return np.flatnonzero(np.bincount(groups, minlength=N_GROUPS) == 0).tolist()
 
 
 def sgd_update(

@@ -34,8 +34,8 @@ OPENBLAS_CONFIG = "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY S
 RESULTS_SHA256 = "49c3eeede9c48ba36dc22eb90e4d8cbc095fc10f062469a65887a19a1daed112"
 TABLE_SHA256 = "93ef20ec9b8d841f28fd7d5ef7d25a07cefc70e29d138b95a38faae8ae9e7c05"
 DATA_SHA256 = {
-    "dataset/images": "c74587017a9db37a87b3a2ada6a2d09d1d205838530421290cdc68d1798770ba",
-    "dataset/masks": "34785785cbc04f85e80d1e6cf5b7a9da0e9e116c09f9dfe985587e152712b436",
+    "dataset/images": "30455396170ffe054592ea50122df2e670e826b445d000c0be7a8ffface69edf",
+    "dataset/masks": "69c11ca41c1d007891112b8ee1abd4a105659e475f0b734a33fe49d4d95c606d",
     "patches/patch_index.jsonl": "3cc0ff73159ae8ae84d45ae0708a21d288d6ff1133ffa4f4f703b65657605247",
     "analysis/bias_tau0.03.json": "395c2083a17ae342603c5b2f9fdff539725dd4e99d815dc58af879e51130cada",
     "analysis/bias_tau0.1.json": "a43499750722ba8f606bfba449c4ed0ab4193bca49f6ff4d9b36240fe00e2f54",

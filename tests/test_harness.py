@@ -21,6 +21,7 @@ from patchbias.errors import ValidationError
 from patchbias.model import load_checkpoint
 from patchbias.patchgrid import PatchGridSpec, partition
 from patchbias.synthdata import generate_scene
+from patchbias.tensorio import read_tensor
 from patchbias.training import TrainConfig
 
 
@@ -43,15 +44,22 @@ def mini_config():
 
 
 @pytest.fixture(scope="module")
-def tiny_run(tmp_path_factory):
-    """One full pipeline pass shared by the artifact tests."""
+def tiny_trained(tmp_path_factory):
+    """One full pipeline pass shared by the artifact tests, with the train stage's report."""
     out = tmp_path_factory.mktemp("tinyrun")
     cfg = tiny_config()
     harness.cmd_generate(cfg, out)
     harness.cmd_patchify(cfg, out)
     harness.cmd_analyze(cfg, out)
-    harness.cmd_train(cfg, out)
+    report = harness.cmd_train(cfg, out)
     harness.cmd_report(cfg, out)
+    return cfg, out, report
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tiny_trained):
+    """The shared pipeline pass as (config, out root)."""
+    cfg, out, _ = tiny_trained
     return cfg, out
 
 
@@ -201,8 +209,8 @@ def test_generate_writes_corpus_and_skips_reruns(tmp_path, capsys):
     dataset = tmp_path / "dataset"
     # only the scenes; the corpus itself is derived, never stored
     assert sorted(p.name for p in dataset.iterdir()) == ["images", "masks"]
-    assert len(list((dataset / "images").glob("*.pbt"))) == 3
-    assert len(list((dataset / "masks").glob("*.pbt"))) == 3
+    assert len(list((dataset / "images").glob("*.npy"))) == 3
+    assert len(list((dataset / "masks").glob("*.npy"))) == 3
     capsys.readouterr()
     harness.cmd_generate(cfg, tmp_path)
     assert "skipping" in capsys.readouterr().out
@@ -216,7 +224,7 @@ def test_generate_writes_corpus_and_skips_reruns(tmp_path, capsys):
 def test_generate_regenerates_a_deleted_image_instead_of_skipping(tmp_path, capsys):
     cfg = mini_config()
     harness.cmd_generate(cfg, tmp_path)
-    victim = next((tmp_path / "dataset" / "images").glob("*.pbt"))
+    victim = next((tmp_path / "dataset" / "images").glob("*.npy"))
     original = victim.read_bytes()
     victim.unlink()
     capsys.readouterr()
@@ -275,7 +283,7 @@ def test_patchify_requires_the_dataset(tmp_path):
 def test_patchify_reports_missing_scene_files(tmp_path):
     cfg = mini_config()
     harness.cmd_generate(cfg, tmp_path)
-    victim = next((tmp_path / "dataset" / "images").glob("*.pbt"))
+    victim = next((tmp_path / "dataset" / "images").glob("*.npy"))
     victim.unlink()
     with pytest.raises(ValidationError, match=f"missing dataset files.*{victim.name}"):
         harness.cmd_patchify(cfg, tmp_path)
@@ -448,8 +456,8 @@ def test_analyze_artifacts(tiny_run):
         assert 0.0 <= report["alignment"] <= 1.0
 
 
-def test_train_artifacts(tiny_run):
-    cfg, out = tiny_run
+def test_train_artifacts(tiny_trained):
+    cfg, out, report = tiny_trained
     results = json.loads((out / "train" / "results.json").read_text())
     assert results["config_hash"] == harness.config_hash(cfg)
     assert len(results["cells"]) == 6  # three rows at two thresholds
@@ -460,7 +468,8 @@ def test_train_artifacts(tiny_run):
     )
     data_by_tau, _ = harness.build_split_data(cfg, out)
     _, _, test = next(iter(data_by_tau.values()))  # pixels are shared across thresholds
-    for cell in results["cells"]:
+    assert len(report.cells) == len(results["cells"])
+    for cell, reported in zip(results["cells"], report.cells):
         assert len(cell["trials"]) == cfg["train"]["trials"]
         cdir = out / "train" / harness.cell_dir_name(cell["method"], cell["eval_metric"], cell["tau"])
         for k in range(cfg["train"]["trials"]):
@@ -468,14 +477,30 @@ def test_train_artifacts(tiny_run):
             epochs = tdir.joinpath("epochs.csv").read_text().splitlines()
             assert epochs[0] == "epoch,train_loss,val_wga,val_bca"
             assert len(epochs) == 1 + cfg["train"]["epochs"]
-            spec, params = load_checkpoint(tdir / "checkpoint.pbt")
+            spec, params = load_checkpoint(tdir / "checkpoint.npy")
             assert spec.input_height == cfg["patch"]["height"]
+            # the checkpoint is the float64 vector run_experiment selected, bit for bit
+            selected = reported.outcomes[k].checkpoint.params
+            assert params.dtype == selected.dtype == np.float64
+            assert params.tobytes() == selected.tobytes()
             preds = list(csv.DictReader(tdir.joinpath("test_predictions.csv").open()))
             assert len(preds) == n_test
             assert {p["pred"] for p in preds} <= {"0", "1"}
-            # the float32 checkpoint reproduces the predictions made from the float64 parameters
             reloaded = model.predict(spec, params, model.pool(spec, test.x))
             assert reloaded.tolist() == [int(p["pred"]) for p in preds]
+
+
+def test_every_tensor_file_is_a_plain_npy_file(tiny_trained):
+    """Plain numpy reads every scene and checkpoint of a run to the same array as read_tensor."""
+    cfg, out, report = tiny_trained
+    scenes = sorted((out / "dataset").glob("*/*.npy"))
+    assert len(scenes) == 2 * cfg["dataset"]["images"]
+    checkpoints = sorted((out / "train").glob("*/trial*/checkpoint.npy"))
+    assert len(checkpoints) == sum(len(cell.outcomes) for cell in report.cells)
+    for path in scenes + checkpoints:
+        plain, ours = np.load(path, allow_pickle=False), read_tensor(path)
+        assert (plain.dtype, plain.shape) == (ours.dtype, ours.shape)
+        assert plain.tobytes() == ours.tobytes()
 
 
 @pytest.mark.parametrize("failure", ["checkpoint", "predictions", "swap"])
@@ -494,7 +519,7 @@ def test_failed_train_write_keeps_the_previous_trial_files(tiny_run, tmp_path, m
     before = files()
     if failure == "checkpoint":
         def cut_short(path, array):
-            Path(path).write_bytes(b"PBTENSR1")  # the header is out, then the disk fills
+            Path(path).write_bytes(b"\x93NUMPY")  # the magic is out, then the disk fills
             raise OSError("disk full")
 
         monkeypatch.setattr(model, "write_tensor", cut_short)

@@ -1,6 +1,8 @@
-"""Classifier forward pass, analytic gradients, and checkpoint container."""
+"""Classifier forward pass, analytic gradients, and checkpoint files."""
 
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -207,22 +209,19 @@ def test_param_views_reject_a_vector_of_another_size():
 
 def test_checkpoint_round_trip(tmp_path):
     params = init_params(TINY)
-    path = tmp_path / "ckpt.pbt"
+    path = tmp_path / "ckpt.npy"
     save_checkpoint(path, TINY, params)
     assert path.exists() and path.with_suffix(".json").exists()
     spec2, params2 = load_checkpoint(path)
     assert spec2 == TINY
     assert params2.dtype == np.float64
-    # storage is float32, so values agree only to single precision
-    np.testing.assert_array_equal(params2, params.astype(np.float32).astype(np.float64))
+    assert params2.tobytes() == params.tobytes()  # stored as float64, so bit for bit
     x = _batch(TINY, 4, 13)
-    np.testing.assert_allclose(forward(spec2, params2, x), forward(TINY, params, x), atol=1e-5)
+    assert forward(spec2, params2, x).tobytes() == forward(TINY, params, x).tobytes()
 
 
 def test_checkpoint_rejects_layout_mismatch(tmp_path):
-    import json
-
-    path = tmp_path / "ckpt.pbt"
+    path = tmp_path / "ckpt.npy"
     save_checkpoint(path, TINY, init_params(TINY))
     sidecar = json.loads(path.with_suffix(".json").read_text())
     sidecar["layout"][0][1] = [3, 3, 2, 3]  # claim a different channel count
@@ -232,11 +231,36 @@ def test_checkpoint_rejects_layout_mismatch(tmp_path):
 
 
 def test_checkpoint_rejects_a_parameter_count_mismatch(tmp_path):
-    path = tmp_path / "ckpt.pbt"
+    path = tmp_path / "ckpt.npy"
     params = init_params(TINY)
     save_checkpoint(path, TINY, params)
-    write_tensor(path, params[:-1].astype(np.float32))  # the sidecar still describes the full layout
+    write_tensor(path, params[:-1])  # the sidecar still describes the full layout
     with pytest.raises(ValidationError, match="parameter count"):
+        load_checkpoint(path)
+    write_tensor(path, params.astype(np.float32))  # the right count, but not the float64 vector
+    with pytest.raises(ValidationError, match="float32, not float64"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "rewrite",
+    [
+        None,
+        lambda s: "{not json",
+        lambda s: json.dumps({"layout": s["layout"]}),
+        lambda s: json.dumps({**s, "classifier_spec": {**s["classifier_spec"], "k3": 4}}),
+    ],
+    ids=["missing", "bad-json", "no-classifier-spec", "unknown-spec-field"],
+)
+def test_a_bad_sidecar_is_a_validation_error_naming_it(tmp_path, rewrite):
+    path = tmp_path / "ckpt.npy"
+    save_checkpoint(path, TINY, init_params(TINY))
+    sidecar = path.with_suffix(".json")
+    if rewrite is None:
+        sidecar.unlink()
+    else:
+        sidecar.write_text(rewrite(json.loads(sidecar.read_text())))
+    with pytest.raises(ValidationError, match=re.escape(str(sidecar))):
         load_checkpoint(path)
 
 

@@ -1,6 +1,10 @@
 """Optimizer arithmetic, extrapolated updates, checkpoint selection, experiment grid."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -260,6 +264,40 @@ def test_worst_group_selection_requires_all_groups_in_validation():
         select_checkpoint(history, val, "wga")
     # bca selection does not need group coverage
     select_checkpoint(history, val, "bca")
+    for bad_id in (-1, 4):
+        val.groups[0] = bad_id
+        with pytest.raises(ValidationError, match="group ids must lie in"):
+            select_checkpoint(history, val, "wga")
+
+
+def test_group_checks_do_not_import_numpy_ma():
+    """The first np.unique call in a process imports numpy.ma (about 18 ms), inside
+    a timed training run; select_checkpoint and run_experiment check groups without it."""
+    code = """
+import sys
+import numpy as np
+from patchbias.errors import ValidationError
+from patchbias.model import ClassifierSpec, init_params
+from patchbias.training import History, SplitData, TrainConfig, run_experiment, select_checkpoint
+
+spec = ClassifierSpec(input_height=8, input_width=8, channels=1, k1=2, k2=3, pool_target=8)
+groups = np.arange(16, dtype=np.int64) % 4
+split = SplitData(x=np.zeros((16, 8, 8, 1)), y=groups // 2, groups=groups)
+select_checkpoint(History(spec=spec, snapshots=[init_params(spec)], train_losses=[0.0]), split, "wga")
+lacking = SplitData(x=split.x, y=split.y, groups=np.zeros(16, dtype=np.int64))
+config = TrainConfig(batch_size=8, epochs=1, lr=0.1, momentum=0.9, seed=0, trials=1, beta=0.0, beta_grid=[0.0])
+try:
+    run_experiment(spec, {0.1: (split, lacking, split)}, config)
+except ValidationError as e:
+    assert "validation split" in str(e), e
+else:
+    raise AssertionError("a validation split lacking groups passed the group checks")
+print("numpy.ma" in sys.modules)
+"""
+    src = str(Path(training.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_train_history_and_evaluate_outcome_learn_the_separable_toy_problem():
