@@ -3,7 +3,8 @@
 # benchmark's output check on every workload, the package's import time, the
 # demos and, with --full, a run of the default config checked against the
 # golden fingerprint in ROADMAP.md, then an analysis-only edit that analyze
-# and report must take without a retrain.
+# and report must take without a retrain, after which the out root must hold
+# no dot-entry.
 #
 #   scripts/verify.sh          # tier-1 tests + perfbench self-tests and output check + demos (about 3 min on 2 cores)
 #   scripts/verify.sh --full   # also the default pipeline in a temporary out root (about 2 min more)
@@ -119,6 +120,16 @@ if cmp -s "$out/run/train/results.json" "$out/results.before.json"; then
   echo "ok       train/results.json unchanged"
 else
   echo "CHANGED  train/results.json" >&2
+  status=1
+fi
+
+# each stage builds its directory beside it and swaps it in whole, so after a
+# clean run the out root holds no staging tree (.<name>.<pid>.tmp or .old)
+leftover=$(find "$out/run" -mindepth 1 -maxdepth 1 -name '.*')
+if [ -z "$leftover" ]; then
+  echo "ok       no dot-entries in the out root"
+else
+  echo "LEFTOVER $leftover" >&2
   status=1
 fi
 exit "$status"

@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomicio import open_atomic
 from .composition import GROUP_NAMES, assign_group, binarize_spurious
 from .errors import ValidationError
 from .records import PatchRecord
@@ -144,11 +143,8 @@ def bias_report(records: list[PatchRecord], tau: float) -> dict:
 
 
 def write_histogram_csv(hist: ConditionalHistogram, path: str | Path) -> None:
-    """One row per bin; overlay columns are blank when absent or undefined.
-
-    The file is replaced in one step, so a failed write keeps the previous one.
-    """
-    with open_atomic(path, newline="") as fh:
+    """One row per bin; overlay columns are blank when absent or undefined."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["bin_left", "bin_right", "count", "mass", "correct_fraction", "incorrect_fraction"]

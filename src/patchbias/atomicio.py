@@ -1,8 +1,10 @@
-"""Replace an artifact in one step, so no stage ever reads a half-written file.
+"""Replace an artifact in one step, so no stage ever reads a half-written one.
 
-Writes go to a temporary file in the target's directory (`.<name>.<pid>.tmp`)
-and `os.replace` moves it over the target, a rename within one file system.
-A whole directory is built the same way and swapped in with two renames.
+Each pipeline stage owns one directory under the output root. It builds that
+directory's new contents in a temporary directory beside it
+(`.<name>.<pid>.tmp`), and `atomic_dir` swaps the tree in with two renames.
+The run manifest, a single file, is written to a temporary file beside it and
+moved over the target with `os.replace`, a rename within one file system.
 """
 
 from __future__ import annotations
@@ -11,24 +13,7 @@ import os
 import shutil
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Iterator
-
-
-@contextmanager
-def atomic_path(path: str | Path) -> Iterator[Path]:
-    """A temporary path to write to, moved over `path` when the block exits normally.
-
-    If the block raises, or the replace fails, the temporary file is removed
-    and `path` keeps its previous contents.
-    """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        yield tmp
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+from typing import Iterator
 
 
 @contextmanager
@@ -38,12 +23,15 @@ def atomic_dir(path: str | Path) -> Iterator[Path]:
     The previous `path` moves aside to `.<name>.<pid>.old`, the new tree moves
     in, and the old tree is deleted. If the block raises, or either rename
     fails, the temporary tree is removed and `path` keeps its previous contents.
+    Every `.<name>.*.tmp` and `.<name>.*.old` sibling is deleted on entry, so
+    the tree of a process killed mid-block does not stay on disk.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     old = path.with_name(f".{path.name}.{os.getpid()}.old")
-    for stale in (tmp, old):
-        shutil.rmtree(stale, ignore_errors=True)
+    for suffix in ("tmp", "old"):
+        for stale in path.parent.glob(f".{path.name}.*.{suffix}"):
+            shutil.rmtree(stale, ignore_errors=True)
     tmp.mkdir()
     try:
         yield tmp
@@ -61,14 +49,18 @@ def atomic_dir(path: str | Path) -> Iterator[Path]:
     shutil.rmtree(old, ignore_errors=True)
 
 
-@contextmanager
-def open_atomic(path: str | Path, newline: str | None = None) -> Iterator[IO[str]]:
-    """A UTF-8 text handle whose contents replace `path` when the block exits normally."""
-    with atomic_path(path) as tmp, open(tmp, "w", encoding="utf-8", newline=newline) as fh:
-        yield fh
-
-
 def write_atomic(path: str | Path, text: str) -> None:
-    """Replace `path` with `text` in one step."""
-    with open_atomic(path) as fh:
-        fh.write(text)
+    """Replace `path` with UTF-8 `text` in one step.
+
+    The text goes to `.<name>.<pid>.tmp` beside `path` first. If the write or
+    the replace fails, the temporary is removed and `path` keeps its previous
+    contents.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

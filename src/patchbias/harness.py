@@ -16,10 +16,13 @@ The output root resolves as: explicit argument, then the PATCHBIAS_OUT
 environment variable, then config["out_root"]. The config hash covers every
 section except out_root, so moving a run does not change its identity.
 
-A stage's run_manifest.json entry is the one record of where its output came
-from: its `inputs_hash` covers the config sections that output is made from
-(`STAGE_SECTIONS`). A stage drops its entry before it replaces its output and
-writes it last; the next stage reads that output only under an entry that
+Each stage owns exactly one of the directories above. It builds the new
+contents beside it and swaps them in whole (`_stage_output`), so a failure
+before the swap leaves the previous directory and its run-manifest entry as
+they were. A stage's run_manifest.json entry is the one record of where its
+output came from: its `inputs_hash` covers the config sections that output is
+made from (`STAGE_SECTIONS`). A stage drops its entry just before the swap and
+writes it after; the next stage reads that output only under an entry that
 matches its own config. Without run_manifest.json every stage must run again.
 """
 
@@ -30,7 +33,7 @@ import json
 import os
 import resource
 import time
-from contextlib import ExitStack
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -38,7 +41,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import bias_report, histogram, write_histogram_csv
-from .atomicio import atomic_dir, atomic_path, write_atomic
+from .atomicio import atomic_dir, write_atomic
 from .composition import assign_group, binarize_spurious, compute_ratios, infer_tissue
 from .errors import ValidationError, is_int, is_number
 from .model import ClassifierSpec, pool, save_checkpoint
@@ -348,6 +351,19 @@ def _retract_stage(out_root: Path, stage: str) -> None:
         write_atomic(out_root / "run_manifest.json", json.dumps(doc, indent=2, sort_keys=True))
 
 
+@contextmanager
+def _stage_output(out_root: Path, stage: str, name: str):
+    """A temporary directory in which `stage` builds `out_root / name`, swapped in whole when the block exits.
+
+    The stage's run-manifest entry is dropped just before the swap, and the
+    stage writes its new entry after it. A failure before the swap leaves the
+    previous directory and its entry as they were.
+    """
+    with atomic_dir(out_root / name) as staged:
+        yield staged
+        _retract_stage(out_root, stage)
+
+
 def _require_stage(out_root: Path, config: dict, stage: str, error: str) -> None:
     """Raise `ValidationError(error)` unless `stage`'s run-manifest entry was made from this config's sections."""
     entry = _read_run_manifest(out_root)["stages"].get(stage)
@@ -414,8 +430,8 @@ def cmd_generate(config: dict, out_root: str | Path | None) -> Path:
         return dataset_dir
     if missing:
         print(f"dataset under {dataset_dir} is missing {len(missing)} files, regenerating")
-    _retract_stage(out_root, "generate")
-    materialize(entries, dataset_dir)
+    with _stage_output(out_root, "generate", "dataset") as staged:
+        materialize(entries, staged)
     _update_run_manifest(
         out_root, config, "generate", {"dataset": "dataset"}, time.monotonic() - started, pool_size(len(entries))
     )
@@ -475,18 +491,15 @@ def cmd_patchify(config: dict, out_root: str | Path | None) -> Path:
     out_root = _stage_root(config, out_root)
     started = time.monotonic()
     _require_generated(config, out_root)
-    patches_dir = out_root / "patches"
-    patches_dir.mkdir(parents=True, exist_ok=True)
-    index_path = patches_dir / "patch_index.jsonl"
-    _retract_stage(out_root, "patchify")
-    n = write_patch_index(
-        (record for record, _ in _iter_patch_records(config, out_root / "dataset")), index_path
-    )
+    records = (record for record, _ in _iter_patch_records(config, out_root / "dataset"))
+    with _stage_output(out_root, "patchify", "patches") as staged:
+        n = write_patch_index(records, staged / "patch_index.jsonl")
     _update_run_manifest(
         out_root, config, "patchify",
         {"patch_index": "patches/patch_index.jsonl"},
         time.monotonic() - started,
     )
+    index_path = out_root / "patches" / "patch_index.jsonl"
     print(f"wrote {n} patch records to {index_path}")
     return index_path
 
@@ -556,27 +569,21 @@ def cmd_analyze(config: dict, out_root: str | Path | None, predictions: str | Pa
                 f"of split {split!r}, first: {missing[0]}"
             )
 
-    analysis_dir = out_root / "analysis"
-    analysis_dir.mkdir(parents=True, exist_ok=True)
     artifacts = {}
-    # every file is written in full to a temporary before any replaces its
-    # previous version, so a failed write leaves no mix of two runs
-    with ExitStack() as staged:
+    with _stage_output(out_root, "analyze", "analysis") as staged:
         for kind, label, filename in _HIST_FILES:
-            hist = histogram(subset, kind, label, n_bins, pred_arr)
-            write_histogram_csv(hist, staged.enter_context(atomic_path(analysis_dir / filename)))
+            write_histogram_csv(histogram(subset, kind, label, n_bins, pred_arr), staged / filename)
             artifacts[f"hist_{kind}"] = f"analysis/{filename}"
 
         for tau in config["patch"]["taus"]:
             report = bias_report(subset, tau)
             name = f"bias_tau{tau_key(tau)}.json"
-            tmp = staged.enter_context(atomic_path(analysis_dir / name))
-            tmp.write_text(json.dumps(report, indent=2, sort_keys=True), encoding="utf-8")
+            (staged / name).write_text(json.dumps(report, indent=2, sort_keys=True), encoding="utf-8")
             artifacts[f"bias_{tau_key(tau)}"] = f"analysis/{name}"
             print(f"tau={tau_key(tau)}: alignment={report['alignment']}, groups={report['group_counts']}")
 
     _update_run_manifest(out_root, config, "analyze", artifacts, time.monotonic() - started)
-    return analysis_dir
+    return out_root / "analysis"
 
 
 def build_split_data(
@@ -669,10 +676,7 @@ def cmd_train(config: dict, out_root: str | Path | None) -> RunReport:
     report = run_experiment(model_spec, data_by_tau, TrainConfig(**config["train"]))
 
     artifacts = {}
-    # the whole tree is built beside train/ and swapped in at the end, so a
-    # failed write leaves the previous run's files and entry as they were; the
-    # entry is dropped just before the swap, so none vouches for a half-done swap
-    with atomic_dir(out_root / "train") as staged:
+    with _stage_output(out_root, "train", "train") as staged:
         for cell in report.cells:
             name = cell_dir_name(cell.method, cell.eval_metric, cell.tau)
             for k, outcome in enumerate(cell.outcomes):
@@ -695,7 +699,6 @@ def cmd_train(config: dict, out_root: str | Path | None) -> RunReport:
             "cells": [cell.to_dict() for cell in report.cells],
         }
         (staged / "results.json").write_text(json.dumps(results, indent=2, sort_keys=True), encoding="utf-8")
-        _retract_stage(out_root, "train")
     artifacts["results"] = "train/results.json"
     _update_run_manifest(out_root, config, "train", artifacts, time.monotonic() - started, report.workers)
     for cell in report.cells:
@@ -726,9 +729,6 @@ def cmd_report(config: dict, out_root: str | Path | None) -> Path:
     taus = results["taus"]
     by_key = {(c["row"], tau_key(c["tau"])): c for c in results["cells"]}
 
-    report_dir = out_root / "report"
-    report_dir.mkdir(parents=True, exist_ok=True)
-    table_path = report_dir / "final_table.csv"
     header = ["row"]
     for t in taus:
         header += [f"wga_tau={tau_key(t)}", f"bca_tau={tau_key(t)}"]
@@ -743,11 +743,13 @@ def cmd_report(config: dict, out_root: str | Path | None) -> Path:
             cells.append(f"{cell['wga_mean']:.4f}±{cell['wga_std']:.4f}")
             cells.append(f"{cell['bca_mean']:.4f}±{cell['bca_std']:.4f}")
         lines.append(",".join(cells))
-    write_atomic(table_path, "\n".join(lines) + "\n")
+    with _stage_output(out_root, "report", "report") as staged:
+        (staged / "final_table.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     _update_run_manifest(
         out_root, config, "report", {"final_table": "report/final_table.csv"},
         time.monotonic() - started,
     )
+    table_path = out_root / "report" / "final_table.csv"
     print(f"wrote {table_path}")
     return table_path
 

@@ -31,7 +31,6 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .atomicio import atomic_path
 from .errors import ValidationError
 from .tensorio import read_tensor, write_tensor
 
@@ -279,26 +278,21 @@ def predict(spec: ClassifierSpec, params: np.ndarray, batch: np.ndarray) -> np.n
 
 
 def save_checkpoint(path: str | Path, spec: ClassifierSpec, params: np.ndarray) -> None:
-    """A `.npy` file holds the flat float64 parameters as they are; a JSON sidecar holds the spec.
-
-    Both files are written in full to temporaries before either replaces its
-    target, so a failed write leaves the previous checkpoint pair intact.
-    """
+    """A `.npy` file holds the flat float64 parameters as they are; a JSON sidecar holds the spec."""
     path = Path(path)
     sidecar = {
         "classifier_spec": asdict(spec),
         "layout": [[name, list(shape), offset] for name, shape, offset in param_layout(spec)],
     }
-    with atomic_path(path) as tensor_tmp, atomic_path(path.with_suffix(".json")) as sidecar_tmp:
-        write_tensor(tensor_tmp, params)
-        sidecar_tmp.write_text(json.dumps(sidecar, indent=2, sort_keys=True))
+    write_tensor(path, params)
+    path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2, sort_keys=True))
 
 
 def load_checkpoint(path: str | Path) -> tuple[ClassifierSpec, np.ndarray]:
     """The spec and the float64 parameters of a checkpoint pair.
 
-    A missing or malformed sidecar, or a stored array that is not the float64
-    vector its layout describes, is a ValidationError naming the file.
+    A missing or malformed file of the pair, or a stored array that is not the
+    float64 vector its layout describes, is a ValidationError naming the file.
     """
     path = Path(path)
     sidecar_path = path.with_suffix(".json")

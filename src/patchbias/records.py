@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from .atomicio import open_atomic
 from .errors import ValidationError
 from .synthdata import SPLITS
 
@@ -51,13 +50,9 @@ class PatchRecord:
 
 
 def write_patch_index(records: Iterable[PatchRecord], path: str | Path) -> int:
-    """One JSON object per line; returns the record count.
-
-    The index replaces `path` only once every record is written: if `records`
-    raises midway, the previous index stays as it was.
-    """
+    """One JSON object per line; returns the record count."""
     n = 0
-    with open_atomic(path) as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
             fh.write(json.dumps(rec.to_dict(), sort_keys=True))
             fh.write("\n")

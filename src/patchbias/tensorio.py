@@ -33,11 +33,11 @@ def write_tensor(path: str | Path, array: np.ndarray) -> None:
 def read_tensor(path: str | Path) -> np.ndarray:
     """Read a `.npy` file written by `write_tensor` back into a numpy array.
 
-    Any malformed file raises ValidationError naming `path`: a bad magic or
-    version, an unparsable header, a dtype outside the three stored ones,
-    Fortran order, or a payload that is not exactly the rest of the file.
-    The declared payload size is checked against the file size before the
-    array is allocated.
+    A missing or unreadable file, and any malformed one, raises
+    ValidationError naming `path`: a bad magic or version, an unparsable
+    header, a dtype outside the three stored ones, Fortran order, or a
+    payload that is not exactly the rest of the file. The declared payload
+    size is checked against the file size before the array is allocated.
     """
     try:
         with open(path, "rb") as fh:
@@ -60,4 +60,6 @@ def read_tensor(path: str | Path) -> np.ndarray:
                 raise ValueError("truncated payload")
     except (ValueError, TypeError, SyntaxError, TokenError) as e:  # what numpy's header parser raises
         raise ValidationError(f"{path}: {e}") from e
+    except OSError as e:
+        raise ValidationError(f"{path}: {e.strerror or e}") from e
     return array

@@ -1,7 +1,6 @@
 """Conditional ratio histograms with prediction overlays, and co-occurrence reports."""
 
 import csv
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -290,16 +289,3 @@ def test_histogram_csv_round_trip(tmp_path):
     assert rows[0]["correct_fraction"] == "1.000000"
     assert rows[1]["correct_fraction"] == ""  # empty bin stays blank
     assert rows[1]["incorrect_fraction"] == ""
-
-
-def test_failed_histogram_write_keeps_the_previous_csv(tmp_path):
-    path = tmp_path / "hist.csv"
-    write_histogram_csv(histogram(_records_from_values([0.05, 0.55]), "tumor", 1, n_bins=4), path)
-    before = path.read_bytes()
-    hist = histogram(_records_from_values([0.3, 0.9]), "tumor", 1, n_bins=4)
-    # an overlay shorter than the bins makes the writer fail after two rows
-    broken = replace(hist, correct_fraction=np.ones(2), incorrect_fraction=np.zeros(2))
-    with pytest.raises(IndexError):
-        write_histogram_csv(broken, path)
-    assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["hist.csv"]

@@ -305,24 +305,50 @@ def _fail_the_third_tensor_write(monkeypatch):
     monkeypatch.setattr(synthdata, "write_tensor", fail_on_third_write)
 
 
-def test_a_failed_regenerate_leaves_a_dataset_nothing_reads(tmp_path, monkeypatch):
+def _files(directory: Path) -> dict:
+    """Every file under `directory`, relative path -> bytes."""
+    return {p.relative_to(directory): p.read_bytes() for p in directory.rglob("*") if p.is_file()}
+
+
+def test_a_failed_regenerate_keeps_the_previous_dataset(tmp_path, monkeypatch):
     cfg = mini_config()
     harness.cmd_generate(cfg, tmp_path)
     index = harness.cmd_patchify(cfg, tmp_path)
-    before = index.read_bytes()
+    before, scenes = index.read_bytes(), _files(tmp_path / "dataset")
     changed = mini_config()
     changed["dataset"]["noise_sigma"] = 0.08
     _fail_the_third_tensor_write(monkeypatch)
     with pytest.raises(OSError, match="disk full"):
         harness.cmd_generate(changed, tmp_path)
-    # one scene is rewritten, the others are from the old section
-    assert "generate" not in json.loads((tmp_path / "run_manifest.json").read_text())["stages"]
-    for config in (cfg, changed):
-        with pytest.raises(ValidationError, match=r"has no generate entry for it\); run generate first"):
-            harness.cmd_patchify(config, tmp_path)
-        with pytest.raises(ValidationError, match="run generate first"):
-            harness.build_split_data(config, tmp_path)
-    assert index.read_bytes() == before
+    monkeypatch.undo()
+    # the new scenes were built beside dataset/ and never swapped in, so the
+    # previous dataset and its entry stay, and only the old section reads them
+    assert _files(tmp_path / "dataset") == scenes
+    assert not [p.name for p in tmp_path.iterdir() if p.name.startswith(".")]
+    with pytest.raises(ValidationError, match="not generated from this config's dataset section"):
+        harness.cmd_patchify(changed, tmp_path)
+    with pytest.raises(ValidationError, match="run generate first"):
+        harness.build_split_data(changed, tmp_path)
+    assert harness.cmd_patchify(cfg, tmp_path).read_bytes() == before
+
+
+def test_a_smaller_dataset_leaves_only_its_own_scenes(tmp_path):
+    cfg = mini_config()
+    cfg["dataset"]["images"] = 6
+    harness.cmd_generate(cfg, tmp_path)
+    smaller = mini_config()
+    harness.cmd_generate(smaller, tmp_path)
+    expected = {Path(rel) for entry in harness._corpus(smaller) for rel in synthdata.scene_paths(entry.image_id)}
+    assert set(_files(tmp_path / "dataset")) == expected
+
+
+def test_a_killed_stage_leaves_no_staging_tree_behind(tmp_path):
+    # what a generate killed mid-render, or mid-swap, by another process leaves
+    for name in (".dataset.999999.tmp", ".dataset.999999.old"):
+        (tmp_path / name / "images").mkdir(parents=True)
+        (tmp_path / name / "images" / "img0000.npy").write_bytes(b"partial")
+    harness.cmd_generate(mini_config(), tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dataset", "run_manifest.json"]
 
 
 def test_patchify_and_assembly_refuse_a_dataset_from_another_section(tmp_path, capsys):
@@ -410,32 +436,50 @@ def test_interrupted_patchify_keeps_the_previous_index(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="read failed"):
         harness.cmd_patchify(cfg, tmp_path)
     assert index.read_bytes() == before
-    # the failed run dropped its run-manifest entry, so the kept index is no longer read
+    # the failure came before the swap, so the kept index keeps its entry and is still read
     assert [p.name for p in index.parent.iterdir()] == ["patch_index.jsonl"]
-    assert "patchify" not in json.loads((tmp_path / "run_manifest.json").read_text())["stages"]
-    with pytest.raises(ValidationError, match=r"has no patchify entry for them\); re-run patchify"):
-        harness.cmd_analyze(cfg, tmp_path)
+    assert "patchify" in json.loads((tmp_path / "run_manifest.json").read_text())["stages"]
+    monkeypatch.undo()
+    harness.cmd_analyze(cfg, tmp_path)
 
 
-def test_failed_analysis_write_keeps_the_previous_files(tiny_run, monkeypatch):
-    cfg, out = tiny_run
-    analysis = out / "analysis"
-    before = {p.name: p.read_bytes() for p in analysis.iterdir()}
-    real_replace = harness.os.replace
+def test_failed_analysis_write_keeps_the_previous_files(tiny_run, tmp_path, monkeypatch):
+    cfg, out = _copy_run(tiny_run, tmp_path)
+    analysis, manifest = out / "analysis", out / "run_manifest.json"
+    before, entry = _files(analysis), json.loads(manifest.read_text())["stages"]["analyze"]
+    calls = []
+    real_report = harness.bias_report
 
-    def refuse_bias_reports(src, dst):
-        if Path(dst).name.startswith("bias_tau"):
+    def fail_on_second_tau(subset, tau):
+        calls.append(tau)
+        if len(calls) == 2:
             raise OSError("disk full")
-        real_replace(src, dst)
+        return real_report(subset, tau)
 
-    # other bins change every histogram, so a histogram replaced before the
+    # other bins change every histogram, so a histogram written before the
     # failing bias report would show up as a mix of two runs
     rerun = json.loads(json.dumps(cfg))
     rerun["analysis"]["n_bins"] = cfg["analysis"]["n_bins"] + 1
-    monkeypatch.setattr(harness.os, "replace", refuse_bias_reports)
+    monkeypatch.setattr(harness, "bias_report", fail_on_second_tau)
     with pytest.raises(OSError, match="disk full"):
         harness.cmd_analyze(rerun, out)
-    assert {p.name: p.read_bytes() for p in analysis.iterdir()} == before
+    assert _files(analysis) == before
+    assert json.loads(manifest.read_text())["stages"]["analyze"] == entry
+    assert not [p.name for p in out.iterdir() if p.name.startswith(".")]
+
+
+def test_a_taus_edit_leaves_only_the_current_bias_reports(tmp_path):
+    cfg = mini_config()
+    for stage in (harness.cmd_generate, harness.cmd_patchify, harness.cmd_analyze):
+        stage(cfg, tmp_path)
+    cfg["patch"]["taus"] = [0.2]
+    harness.cmd_patchify(cfg, tmp_path)
+    harness.cmd_analyze(cfg, tmp_path)
+    analysis = tmp_path / "analysis"
+    assert sorted(p.name for p in analysis.glob("bias_tau*.json")) == ["bias_tau0.2.json"]
+    # the run manifest names exactly the files analyze left
+    artifacts = json.loads((tmp_path / "run_manifest.json").read_text())["stages"]["analyze"]["artifacts"]
+    assert sorted(artifacts.values()) == sorted(f"analysis/{p.name}" for p in analysis.iterdir())
 
 
 def test_analyze_artifacts(tiny_run):
@@ -503,7 +547,7 @@ def test_every_tensor_file_is_a_plain_npy_file(tiny_trained):
         assert plain.tobytes() == ours.tobytes()
 
 
-@pytest.mark.parametrize("failure", ["checkpoint", "predictions", "swap"])
+@pytest.mark.parametrize("failure", ["checkpoint", "predictions"])
 def test_failed_train_write_keeps_the_previous_trial_files(tiny_run, tmp_path, monkeypatch, failure):
     cfg, out = _copy_run(tiny_run, tmp_path)
     # a rerun with another learning rate writes other bytes, so any mix of the two runs shows
@@ -512,18 +556,14 @@ def test_failed_train_write_keeps_the_previous_trial_files(tiny_run, tmp_path, m
     train_dir = out / "train"
     table = out / "report" / "final_table.csv"
     previous_table = table.read_bytes()
-
-    def files():
-        return {p.relative_to(train_dir): p.read_bytes() for p in train_dir.rglob("*") if p.is_file()}
-
-    before = files()
+    before = _files(train_dir)
     if failure == "checkpoint":
         def cut_short(path, array):
             Path(path).write_bytes(b"\x93NUMPY")  # the magic is out, then the disk fills
             raise OSError("disk full")
 
         monkeypatch.setattr(model, "write_tensor", cut_short)
-    elif failure == "predictions":
+    else:
         real_open = builtins.open
 
         def cut_short_predictions(path, *args, **kwargs):
@@ -536,19 +576,9 @@ def test_failed_train_write_keeps_the_previous_trial_files(tiny_run, tmp_path, m
             return fh
 
         monkeypatch.setattr(builtins, "open", cut_short_predictions)
-    else:
-        real_replace = harness.os.replace
-
-        def refuse_swap(src, dst):
-            # the new tree may not move in; moving the previous one back is allowed
-            if Path(dst) == train_dir and Path(src).name.endswith(".tmp"):
-                raise OSError("disk full")
-            real_replace(src, dst)
-
-        monkeypatch.setattr(harness.os, "replace", refuse_swap)
     with pytest.raises(OSError, match="disk full"):
         harness.cmd_train(changed, out)
-    assert files() == before
+    assert _files(train_dir) == before
     assert not [p.name for p in out.iterdir() if p.name.startswith(".train")]
 
     monkeypatch.undo()
@@ -558,15 +588,49 @@ def test_failed_train_write_keeps_the_previous_trial_files(tiny_run, tmp_path, m
             assert (out / rel).exists(), (name, rel)
     with pytest.raises(ValidationError, match="re-run train"):
         harness.cmd_report(changed, out)
-    if failure == "swap":
-        # the entry was dropped before the swap, so nothing vouches for train/
-        assert "train" not in stages
-        with pytest.raises(ValidationError, match="re-run train"):
-            harness.cmd_report(cfg, out)
-    else:
-        # a failure before the swap keeps the previous results and their entry
-        harness.cmd_report(cfg, out)
-        assert table.read_bytes() == previous_table
+    # a failure before the swap keeps the previous results and their entry
+    harness.cmd_report(cfg, out)
+    assert table.read_bytes() == previous_table
+
+
+# stage -> (the directory it owns, a config edit that changes its output);
+# report's output is made from train's sections, so it only reruns as it was
+_RERUNS = {
+    "generate": ("dataset", "dataset.noise_sigma", 0.08),
+    "patchify": ("patches", "patch.epsilon", 0.2),
+    "analyze": ("analysis", "analysis.n_bins", 21),
+    "train": ("train", "train.lr", 0.025),
+    "report": ("report", None, None),
+}
+
+
+@pytest.mark.parametrize("stage", list(_RERUNS))
+def test_a_refused_swap_keeps_the_previous_directory(tiny_run, tmp_path, monkeypatch, stage):
+    name, field, value = _RERUNS[stage]
+    cfg, out = _copy_run(tiny_run, tmp_path)
+    # where a stage allows it, a rerun from another section writes other bytes, so any mix shows
+    rerun = json.loads(json.dumps(cfg))
+    if field is not None:
+        section, key = field.split(".")
+        assert rerun[section][key] != value
+        rerun[section][key] = value
+    target = out / name
+    before = _files(target)
+    real_replace = harness.os.replace
+
+    def refuse_swap(src, dst):
+        # the new tree may not move in; moving the previous one back is allowed
+        if Path(dst) == target and Path(src).name.endswith(".tmp"):
+            raise OSError("disk full")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(harness.os, "replace", refuse_swap)
+    with pytest.raises(OSError, match="disk full"):
+        getattr(harness, f"cmd_{stage}")(rerun, out)
+    assert _files(target) == before
+    # the entry was dropped just before the swap, so nothing vouches for the kept directory
+    assert stage not in json.loads((out / "run_manifest.json").read_text())["stages"]
+    assert not [p.name for p in out.iterdir() if p.name.startswith(".")]
 
 
 def test_gerne_beta_fixed_by_config_skips_tuning(tiny_run):
@@ -656,14 +720,14 @@ def test_run_manifest_names_only_existing_files_after_every_stage(tmp_path, caps
                 assert (out / rel).exists(), (stage, name, rel)
         assert not (out / "dataset" / "manifest.json").exists(), stage
 
-    # a regenerate that fails midway drops generate's entry with its stamp
+    # a regenerate that fails midway keeps generate's previous entry
     changed = tiny_config()
     changed["dataset"]["noise_sigma"] = 0.08
     _fail_the_third_tensor_write(monkeypatch)
     with pytest.raises(OSError, match="disk full"):
         cli_main(["generate", "--config", str(_write_config(tmp_path, changed)), "--out", str(out)])
     doc = json.loads((out / "run_manifest.json").read_text())
-    assert "generate" not in doc["stages"]
+    assert doc["stages"]["generate"]["inputs_hash"] == _inputs_hash(cfg, "dataset")
     for name, entry in doc["stages"].items():
         for rel in entry["artifacts"].values():
             assert (out / rel).exists(), (name, rel)

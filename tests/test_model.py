@@ -264,6 +264,14 @@ def test_a_bad_sidecar_is_a_validation_error_naming_it(tmp_path, rewrite):
         load_checkpoint(path)
 
 
+def test_a_missing_checkpoint_tensor_is_a_validation_error_naming_it(tmp_path):
+    path = tmp_path / "ckpt.npy"
+    save_checkpoint(path, TINY, init_params(TINY))
+    path.unlink()  # the sidecar stays
+    with pytest.raises(ValidationError, match=re.escape(f"{path}: No such file or directory")):
+        load_checkpoint(path)
+
+
 def test_batch_shape_must_match_spec():
     params = init_params(TINY)
     with pytest.raises(ValidationError, match="batch shape"):

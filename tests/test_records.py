@@ -67,19 +67,3 @@ def test_group_at_unknown_tau_names_available_keys():
     assert rec.group_at(0.1) == 3
     with pytest.raises(ValidationError, match="0.1"):
         rec.group_at(0.5)
-
-
-def test_interrupted_index_write_keeps_the_previous_index(tmp_path):
-    path = tmp_path / "index.jsonl"
-    write_patch_index([make_record(i) for i in range(3)], path)
-    before = path.read_bytes()
-
-    def interrupted():
-        yield make_record(7)
-        yield make_record(8)
-        raise RuntimeError("scene read failed")
-
-    with pytest.raises(RuntimeError, match="scene read failed"):
-        write_patch_index(interrupted(), path)
-    assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["index.jsonl"]

@@ -68,6 +68,14 @@ def _read_bytes_as_tensor(tmp_path, raw: bytes):
     return read_tensor(path)
 
 
+def test_a_missing_or_unreadable_file_is_a_validation_error_naming_it(tmp_path):
+    missing = tmp_path / "gone.npy"
+    with pytest.raises(ValidationError, match=f"{missing}: No such file or directory"):
+        read_tensor(missing)
+    with pytest.raises(ValidationError, match=f"{tmp_path}: Is a directory"):
+        read_tensor(tmp_path)
+
+
 def test_rejects_bad_magic(tmp_path):
     raw = bytearray(_stored_bytes(tmp_path, np.zeros(3, dtype=np.float32)))
     raw[1] ^= 0xFF
