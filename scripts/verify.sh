@@ -3,8 +3,8 @@
 # benchmark's output check on every workload, the package's import time, the
 # demos and, with --full, a run of the default config checked against the
 # golden fingerprint in ROADMAP.md, then an analysis-only edit that analyze
-# and report must take without a retrain, after which the out root must hold
-# no dot-entry.
+# and report must take without a retrain and a skipped generate beside a
+# planted staging tree, after which the out root must hold no dot-entry.
 #
 #   scripts/verify.sh          # tier-1 tests + perfbench self-tests and output check + demos (about 3 min on 2 cores)
 #   scripts/verify.sh --full   # also the default pipeline in a temporary out root (about 2 min more)
@@ -122,6 +122,16 @@ else
   echo "CHANGED  train/results.json" >&2
   status=1
 fi
+
+# a generate that finds the dataset complete skips, and it still deletes the
+# staging tree a killed generate left; plant one for the check below
+echo "== generate skips and sweeps a killed generate's staging tree"
+mkdir -p "$out/run/.dataset.999999.tmp/images"
+printed=$(python3 -m patchbias generate --config "$out/config.json" --out "$out/run")
+case "$printed" in
+  *skipping*) echo "ok       generate skipped" ;;
+  *) echo "NOT SKIPPED $printed" >&2; status=1 ;;
+esac
 
 # each stage builds its directory beside it and swaps it in whole, so after a
 # clean run the out root holds no staging tree (.<name>.<pid>.tmp or .old)

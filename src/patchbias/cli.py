@@ -39,16 +39,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # each stage validates the config and resolves the output root itself
         config = harness.load_config(args.config)
-        if args.command == "generate":
-            harness.cmd_generate(config, args.out)
-        elif args.command == "patchify":
-            harness.cmd_patchify(config, args.out)
-        elif args.command == "analyze":
-            harness.cmd_analyze(config, args.out, predictions=args.predictions)
-        elif args.command == "train":
-            harness.cmd_train(config, args.out)
-        else:
-            harness.cmd_report(config, args.out)
+        # looked up per call, so a wrapper installed on harness.cmd_* is the one called
+        extra = {"predictions": args.predictions} if args.command == "analyze" else {}
+        getattr(harness, f"cmd_{args.command}")(config, args.out, **extra)
     except PatchBiasError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

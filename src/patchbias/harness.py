@@ -16,14 +16,16 @@ The output root resolves as: explicit argument, then the PATCHBIAS_OUT
 environment variable, then config["out_root"]. The config hash covers every
 section except out_root, so moving a run does not change its identity.
 
-Each stage owns exactly one of the directories above. It builds the new
-contents beside it and swaps them in whole (`_stage_output`), so a failure
-before the swap leaves the previous directory and its run-manifest entry as
-they were. A stage's run_manifest.json entry is the one record of where its
-output came from: its `inputs_hash` covers the config sections that output is
-made from (`STAGE_SECTIONS`). A stage drops its entry just before the swap and
-writes it after; the next stage reads that output only under an entry that
-matches its own config. Without run_manifest.json every stage must run again.
+Each stage owns exactly one of the directories above, and `STAGES` names
+it, the config sections its output is made from and the stages it reads. Every
+stage runs in one frame, `_stage`: it builds the new contents beside its
+directory and swaps them in whole, so a failure before the swap leaves the
+previous directory and its run-manifest entry as they were. A stage's
+run_manifest.json entry is the one record of where its output came from: its
+`inputs_hash` covers the stage's sections. A stage drops its entry just before
+the swap and writes it after; the next stage reads that output only under an
+entry that matches its own config. Without run_manifest.json every stage must
+run again.
 """
 
 from __future__ import annotations
@@ -249,14 +251,15 @@ def load_config(path: str | Path) -> dict:
     return config
 
 
-# The config sections each stage's output is made from; report reads only
-# train's output, so it has train's sections.
-STAGE_SECTIONS = {
-    "generate": ("dataset",),
-    "patchify": ("dataset", "patch"),
-    "analyze": ("dataset", "patch", "analysis"),
-    "train": ("dataset", "patch", "model", "train"),
-    "report": ("dataset", "patch", "model", "train"),
+# stage -> (the directory it owns, the config sections its output is made
+# from, the stages whose output it reads). Report reads only train's output,
+# so it has train's sections.
+STAGES = {
+    "generate": ("dataset", ("dataset",), ()),
+    "patchify": ("patches", ("dataset", "patch"), ("generate",)),
+    "analyze": ("analysis", ("dataset", "patch", "analysis"), ("patchify",)),
+    "train": ("train", ("dataset", "patch", "model", "train"), ("generate", "patchify")),
+    "report": ("report", ("dataset", "patch", "model", "train"), ("train",)),
 }
 
 
@@ -274,7 +277,7 @@ def config_hash(config: dict) -> str:
 
 
 def _inputs_hash(config: dict, stage: str) -> str:
-    return _sha256([config[section] for section in STAGE_SECTIONS[stage]])
+    return _sha256([config[section] for section in STAGES[stage][1]])
 
 
 def resolve_out_root(config: dict, override: str | Path | None = None) -> Path:
@@ -284,20 +287,6 @@ def resolve_out_root(config: dict, override: str | Path | None = None) -> Path:
     if env:
         return Path(env)
     return Path(config["out_root"])
-
-
-def _stage_root(config: dict, out_root: str | Path | None) -> Path:
-    """Validate the config, then resolve and create the stage's output root.
-
-    This is the one validation of a stage, whether the CLI or a library
-    caller runs it, and it comes before anything is written. A malformed
-    run manifest also stops the stage here, not after its work is done.
-    """
-    validate_config(config)
-    root = resolve_out_root(config, out_root)
-    root.mkdir(parents=True, exist_ok=True)
-    _read_run_manifest(root)
-    return root
 
 
 def _read_run_manifest(out_root: Path) -> dict:
@@ -314,61 +303,89 @@ def _read_run_manifest(out_root: Path) -> dict:
     return doc
 
 
-def _update_run_manifest(
-    out_root: Path, config: dict, stage: str, artifacts: dict, seconds: float, workers: int = 1
-) -> None:
-    """Record a finished stage: the hash of the sections it read, when, how long, on how many processes,
-    its peak memory and minor page faults, and what it wrote.
-
-    `peak_rss_mb` is the stage process's `ru_maxrss` and `minflt` its
-    `ru_minflt`: the calling process only, not the helpers `run_jobs` forks,
-    and, when one process runs several stages, the totals so far rather than
-    this stage's own.
-    """
-    path = out_root / "run_manifest.json"
-    doc = _read_run_manifest(out_root)
-    doc["version"] = __version__
-    for rel in artifacts.values():
-        if not (out_root / rel).exists():
-            raise ValidationError(f"manifest would reference a missing artifact: {rel}")
-    usage = resource.getrusage(resource.RUSAGE_SELF)
-    doc["stages"][stage] = {
-        "inputs_hash": _inputs_hash(config, stage),
-        "completed_utc": datetime.now(timezone.utc).isoformat(),
-        "seconds": round(seconds, 3),
-        "workers": workers,
-        "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),
-        "minflt": usage.ru_minflt,
-        "artifacts": artifacts,
-    }
-    write_atomic(path, json.dumps(doc, indent=2, sort_keys=True))
+def _require_stages(out_root: Path, config: dict, names) -> None:
+    """Raise unless each named stage's run-manifest entry was made from this config's sections."""
+    entries = _read_run_manifest(out_root)["stages"]
+    for name in names:
+        entry = entries.get(name)
+        if not (isinstance(entry, dict) and entry.get("inputs_hash") == _inputs_hash(config, name)):
+            directory, sections, _ = STAGES[name]
+            raise ValidationError(
+                f"{out_root / directory} was not made from this config's {', '.join(sections)} "
+                f"section{'s' if len(sections) > 1 else ''} (run_manifest.json has no matching {name} "
+                f"entry); run {name} first"
+            )
 
 
-def _retract_stage(out_root: Path, stage: str) -> None:
-    """Drop a stage's run-manifest entry before it replaces its output, so no entry vouches for a partial one."""
-    doc = _read_run_manifest(out_root)
-    if doc["stages"].pop(stage, None) is not None:
-        write_atomic(out_root / "run_manifest.json", json.dumps(doc, indent=2, sort_keys=True))
+class _Frame:
+    """What a stage's work sees of its frame, and what it hands back for the run-manifest entry."""
+
+    def __init__(self, root: Path, staged: Path) -> None:
+        self.root = root  # the resolved output root
+        self.dir = staged  # where the stage builds its directory
+        self.artifacts: dict[str, str] = {}
+        self.workers = 1
+        self.skipped = False  # set, then return, when the previous output stands
+
+
+class _Skip(Exception):
+    """Abandons a skipped stage's staged directory without a swap."""
 
 
 @contextmanager
-def _stage_output(out_root: Path, stage: str, name: str):
-    """A temporary directory in which `stage` builds `out_root / name`, swapped in whole when the block exits.
+def _stage(config: dict, out_root: str | Path | None, name: str):
+    """Run stage `name` in its frame, yielding a `_Frame` whose `dir` the stage fills.
 
-    The stage's run-manifest entry is dropped just before the swap, and the
-    stage writes its new entry after it. A failure before the swap leaves the
-    previous directory and its entry as they were.
+    The frame validates the config and reads the run manifest before anything
+    is written, whether the CLI or a library caller runs the stage, and
+    refuses unless each stage it reads from has an entry made from this
+    config. `atomic_dir` deletes stale staging siblings and gives the
+    directory to fill. When the block exits, the stage's entry is dropped just
+    before the swap and written after it, so a failure before the swap leaves
+    the previous directory and its entry as they were. A stage that sets
+    `skipped` must return from the block: its staged directory goes, and the
+    manifest is not touched.
+
+    The entry holds the hash of the sections the stage read, when it
+    finished, how long it took, on how many processes, its peak memory and
+    minor page faults, and what it wrote. `peak_rss_mb` is the stage
+    process's `ru_maxrss` and `minflt` its `ru_minflt`: the calling process
+    only, not the helpers `run_jobs` forks, and, when one process runs
+    several stages, the totals so far rather than this stage's own.
     """
-    with atomic_dir(out_root / name) as staged:
-        yield staged
-        _retract_stage(out_root, stage)
-
-
-def _require_stage(out_root: Path, config: dict, stage: str, error: str) -> None:
-    """Raise `ValidationError(error)` unless `stage`'s run-manifest entry was made from this config's sections."""
-    entry = _read_run_manifest(out_root)["stages"].get(stage)
-    if not (isinstance(entry, dict) and entry.get("inputs_hash") == _inputs_hash(config, stage)):
-        raise ValidationError(error)
+    validate_config(config)
+    root = resolve_out_root(config, out_root)
+    root.mkdir(parents=True, exist_ok=True)
+    started = time.monotonic()
+    directory, _, upstream = STAGES[name]
+    _require_stages(root, config, upstream)  # reads the manifest, so a malformed one stops the stage here
+    manifest = root / "run_manifest.json"
+    try:
+        with atomic_dir(root / directory) as staged:
+            frame = _Frame(root, staged)
+            yield frame
+            if frame.skipped:
+                raise _Skip
+            doc = _read_run_manifest(root)
+            if doc["stages"].pop(name, None) is not None:
+                write_atomic(manifest, json.dumps(doc, indent=2, sort_keys=True))
+    except _Skip:
+        return
+    for rel in frame.artifacts.values():
+        if not (root / rel).exists():
+            raise ValidationError(f"manifest would reference a missing artifact: {rel}")
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    doc["version"] = __version__
+    doc["stages"][name] = {
+        "inputs_hash": _inputs_hash(config, name),
+        "completed_utc": datetime.now(timezone.utc).isoformat(),
+        "seconds": round(time.monotonic() - started, 3),
+        "workers": frame.workers,
+        "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),
+        "minflt": usage.ru_minflt,
+        "artifacts": frame.artifacts,
+    }
+    write_atomic(manifest, json.dumps(doc, indent=2, sort_keys=True))
 
 
 def scene_specs_from_config(dataset_cfg: dict) -> list[SceneSpec]:
@@ -398,15 +415,6 @@ def scene_specs_from_config(dataset_cfg: dict) -> list[SceneSpec]:
     return specs
 
 
-def _require_generated(config: dict, out_root: Path) -> None:
-    """Raise unless generate has finished under `out_root` for this config's dataset section."""
-    _require_stage(
-        out_root, config, "generate",
-        f"the dataset under {out_root / 'dataset'} was not generated from this config's dataset section "
-        f"(run_manifest.json has no generate entry for it); run generate first",
-    )
-
-
 def _corpus(config: dict) -> list[ManifestEntry]:
     """Each image's id, split and scene recipe: a pure function of the dataset section, never stored."""
     dataset = config["dataset"]
@@ -415,26 +423,24 @@ def _corpus(config: dict) -> list[ManifestEntry]:
 
 def cmd_generate(config: dict, out_root: str | Path | None) -> Path:
     """Materialize the corpus; a rerun with the same dataset section skips."""
-    out_root = _stage_root(config, out_root)
-    started = time.monotonic()
-    dataset_dir = out_root / "dataset"
-    entries = _corpus(config)
-    try:
-        _require_generated(config, out_root)
-    except ValidationError:  # not generated, interrupted, or from another dataset section
-        missing = None
-    else:
-        missing = _missing_dataset_files(entries, dataset_dir)
-    if missing == []:
-        print(f"dataset already generated under {dataset_dir}, skipping")
-        return dataset_dir
-    if missing:
-        print(f"dataset under {dataset_dir} is missing {len(missing)} files, regenerating")
-    with _stage_output(out_root, "generate", "dataset") as staged:
-        materialize(entries, staged)
-    _update_run_manifest(
-        out_root, config, "generate", {"dataset": "dataset"}, time.monotonic() - started, pool_size(len(entries))
-    )
+    with _stage(config, out_root, "generate") as stage:
+        dataset_dir = stage.root / "dataset"
+        entries = _corpus(config)
+        try:
+            _require_stages(stage.root, config, ("generate",))
+        except ValidationError:  # not generated, interrupted, or from another dataset section
+            missing = None
+        else:
+            missing = _missing_dataset_files(entries, dataset_dir)
+        if missing == []:
+            print(f"dataset already generated under {dataset_dir}, skipping")
+            stage.skipped = True
+            return dataset_dir
+        if missing:
+            print(f"dataset under {dataset_dir} is missing {len(missing)} files, regenerating")
+        materialize(entries, stage.dir)
+        stage.workers = pool_size(len(entries))
+        stage.artifacts = {"dataset": "dataset"}
     print(f"generated {len(entries)} images under {dataset_dir}")
     return dataset_dir
 
@@ -488,31 +494,13 @@ def _iter_patch_records(config: dict, dataset_dir: Path):
 
 def cmd_patchify(config: dict, out_root: str | Path | None) -> Path:
     """Patch the whole corpus into a JSON-lines index with per-tau group columns."""
-    out_root = _stage_root(config, out_root)
-    started = time.monotonic()
-    _require_generated(config, out_root)
-    records = (record for record, _ in _iter_patch_records(config, out_root / "dataset"))
-    with _stage_output(out_root, "patchify", "patches") as staged:
-        n = write_patch_index(records, staged / "patch_index.jsonl")
-    _update_run_manifest(
-        out_root, config, "patchify",
-        {"patch_index": "patches/patch_index.jsonl"},
-        time.monotonic() - started,
-    )
-    index_path = out_root / "patches" / "patch_index.jsonl"
+    with _stage(config, out_root, "patchify") as stage:
+        records = (record for record, _ in _iter_patch_records(config, stage.root / "dataset"))
+        n = write_patch_index(records, stage.dir / "patch_index.jsonl")
+        stage.artifacts = {"patch_index": "patches/patch_index.jsonl"}
+    index_path = stage.root / "patches" / "patch_index.jsonl"
     print(f"wrote {n} patch records to {index_path}")
     return index_path
-
-
-def _patchified_index(config: dict, out_root: Path) -> list[PatchRecord]:
-    """The patch index, once patchify has finished for this config's dataset and patch sections."""
-    patches_dir = out_root / "patches"
-    _require_stage(
-        out_root, config, "patchify",
-        f"the patch index under {patches_dir} was not built from this config's dataset and patch "
-        f"sections (run_manifest.json has no patchify entry for them); re-run patchify",
-    )
-    return read_patch_index(patches_dir / "patch_index.jsonl")
 
 
 def _read_predictions_csv(path: Path) -> dict[tuple[str, int, int], int]:
@@ -543,47 +531,42 @@ def _read_predictions_csv(path: Path) -> dict[tuple[str, int, int], int]:
 
 def cmd_analyze(config: dict, out_root: str | Path | None, predictions: str | Path | None = None) -> Path:
     """Composition histograms and bias reports on one split, optionally overlaying predictions."""
-    out_root = _stage_root(config, out_root)
-    started = time.monotonic()
-    records = _patchified_index(config, out_root)
-    split = config["analysis"]["split"]
-    subset = [r for r in records if r.split == split]
-    if not subset:
-        raise ValidationError(f"no patch records in split {split!r}")
-    n_bins = config["analysis"]["n_bins"]
+    with _stage(config, out_root, "analyze") as stage:
+        records = read_patch_index(stage.root / "patches" / "patch_index.jsonl")
+        split = config["analysis"]["split"]
+        subset = [r for r in records if r.split == split]
+        if not subset:
+            raise ValidationError(f"no patch records in split {split!r}")
+        n_bins = config["analysis"]["n_bins"]
 
-    pred_arr = None
-    if predictions is not None:
-        by_key = _read_predictions_csv(Path(predictions))
-        pred_arr = np.empty(len(subset), dtype=np.int64)
-        missing = []
-        for i, rec in enumerate(subset):
-            key = (rec.image_id, rec.grid_row, rec.grid_col)
-            if key not in by_key:
-                missing.append(key)
-                continue
-            pred_arr[i] = by_key[key]
-        if missing:
-            raise ValidationError(
-                f"predictions cover {len(by_key)} patches but miss {len(missing)} "
-                f"of split {split!r}, first: {missing[0]}"
-            )
+        pred_arr = None
+        if predictions is not None:
+            by_key = _read_predictions_csv(Path(predictions))
+            pred_arr = np.empty(len(subset), dtype=np.int64)
+            missing = []
+            for i, rec in enumerate(subset):
+                key = (rec.image_id, rec.grid_row, rec.grid_col)
+                if key not in by_key:
+                    missing.append(key)
+                    continue
+                pred_arr[i] = by_key[key]
+            if missing:
+                raise ValidationError(
+                    f"predictions cover {len(by_key)} patches but miss {len(missing)} "
+                    f"of split {split!r}, first: {missing[0]}"
+                )
 
-    artifacts = {}
-    with _stage_output(out_root, "analyze", "analysis") as staged:
         for kind, label, filename in _HIST_FILES:
-            write_histogram_csv(histogram(subset, kind, label, n_bins, pred_arr), staged / filename)
-            artifacts[f"hist_{kind}"] = f"analysis/{filename}"
+            write_histogram_csv(histogram(subset, kind, label, n_bins, pred_arr), stage.dir / filename)
+            stage.artifacts[f"hist_{kind}"] = f"analysis/{filename}"
 
         for tau in config["patch"]["taus"]:
             report = bias_report(subset, tau)
             name = f"bias_tau{tau_key(tau)}.json"
-            (staged / name).write_text(json.dumps(report, indent=2, sort_keys=True), encoding="utf-8")
-            artifacts[f"bias_{tau_key(tau)}"] = f"analysis/{name}"
+            (stage.dir / name).write_text(json.dumps(report, indent=2, sort_keys=True), encoding="utf-8")
+            stage.artifacts[f"bias_{tau_key(tau)}"] = f"analysis/{name}"
             print(f"tau={tau_key(tau)}: alignment={report['alignment']}, groups={report['group_counts']}")
-
-    _update_run_manifest(out_root, config, "analyze", artifacts, time.monotonic() - started)
-    return out_root / "analysis"
+    return stage.root / "analysis"
 
 
 def build_split_data(
@@ -598,8 +581,8 @@ def build_split_data(
     to them, so `cmd_train` can replace each with its pooled copy and free it.
     """
     out_root = Path(out_root)
-    _require_generated(config, out_root)
-    stored = _patchified_index(config, out_root)
+    _require_stages(out_root, config, ("generate", "patchify"))
+    stored = read_patch_index(out_root / "patches" / "patch_index.jsonl")
     taus = config["patch"]["taus"]
 
     by_split: dict[str, list[PatchRecord]] = {s: [] for s in SPLITS}
@@ -660,27 +643,25 @@ def cell_dir_name(method: str, eval_metric: str, tau: float) -> str:
 
 def cmd_train(config: dict, out_root: str | Path | None) -> RunReport:
     """Run the full (method, selection metric) x threshold grid and persist artifacts."""
-    out_root = _stage_root(config, out_root)
-    started = time.monotonic()
-    data_by_tau, by_split = build_split_data(config, out_root)
-    test_records = by_split["test"]
-    model_spec = model_spec_from_config(config)
-    # training reads only the pooled input, so each shared raw array is
-    # replaced by its pooled copy and freed; val and test go first, so that
-    # only the raw train array is alive when the largest copy is made
-    shared = next(iter(data_by_tau.values()))
-    for i in (1, 2, 0):
-        x = pool(model_spec, shared[i].x)
-        for splits in data_by_tau.values():
-            splits[i].x = x
-    report = run_experiment(model_spec, data_by_tau, TrainConfig(**config["train"]))
+    with _stage(config, out_root, "train") as stage:
+        data_by_tau, by_split = build_split_data(config, stage.root)
+        test_records = by_split["test"]
+        model_spec = model_spec_from_config(config)
+        # training reads only the pooled input, so each shared raw array is
+        # replaced by its pooled copy and freed; val and test go first, so that
+        # only the raw train array is alive when the largest copy is made
+        shared = next(iter(data_by_tau.values()))
+        for i in (1, 2, 0):
+            x = pool(model_spec, shared[i].x)
+            for splits in data_by_tau.values():
+                splits[i].x = x
+        report = run_experiment(model_spec, data_by_tau, TrainConfig(**config["train"]))
+        stage.workers = report.workers
 
-    artifacts = {}
-    with _stage_output(out_root, "train", "train") as staged:
         for cell in report.cells:
             name = cell_dir_name(cell.method, cell.eval_metric, cell.tau)
             for k, outcome in enumerate(cell.outcomes):
-                tdir = staged / name / f"trial{k}"
+                tdir = stage.dir / name / f"trial{k}"
                 tdir.mkdir(parents=True)
                 with open(tdir / "epochs.csv", "w", encoding="utf-8") as fh:
                     fh.write("epoch,train_loss,val_wga,val_bca\n")
@@ -691,16 +672,15 @@ def cmd_train(config: dict, out_root: str | Path | None) -> RunReport:
                     fh.write("image_id,grid_row,grid_col,label,pred\n")
                     for rec, pred in zip(test_records, outcome.test_preds):
                         fh.write(f"{rec.image_id},{rec.grid_row},{rec.grid_col},{rec.label},{int(pred)}\n")
-            artifacts[name] = f"train/{name}"
+            stage.artifacts[name] = f"train/{name}"
 
         results = {
             "config_hash": config_hash(config),
             "taus": config["patch"]["taus"],
             "cells": [cell.to_dict() for cell in report.cells],
         }
-        (staged / "results.json").write_text(json.dumps(results, indent=2, sort_keys=True), encoding="utf-8")
-    artifacts["results"] = "train/results.json"
-    _update_run_manifest(out_root, config, "train", artifacts, time.monotonic() - started, report.workers)
+        (stage.dir / "results.json").write_text(json.dumps(results, indent=2, sort_keys=True), encoding="utf-8")
+        stage.artifacts["results"] = "train/results.json"
     for cell in report.cells:
         print(
             f"{cell.row_label} tau={tau_key(cell.tau)}: "
@@ -712,44 +692,32 @@ def cmd_train(config: dict, out_root: str | Path | None) -> RunReport:
 
 def cmd_report(config: dict, out_root: str | Path | None) -> Path:
     """Assemble the final results table from the train stage output made from this config's sections."""
-    out_root = _stage_root(config, out_root)
-    started = time.monotonic()
-    results_path = out_root / "train" / "results.json"
-    if not results_path.exists():
-        raise ValidationError(f"train results not found: {results_path}; run train first")
-    _require_stage(
-        out_root, config, "train",
-        f"train results {results_path} were not made from this config's dataset, patch, model and train "
-        f"sections (run_manifest.json has no train entry for them); re-run train",
-    )
-    try:
-        results = json.loads(results_path.read_text())
-    except ValueError:
-        raise ValidationError(f"train results {results_path} are not valid JSON; re-run train") from None
-    taus = results["taus"]
-    by_key = {(c["row"], tau_key(c["tau"])): c for c in results["cells"]}
+    with _stage(config, out_root, "report") as stage:
+        results_path = stage.root / "train" / "results.json"
+        try:
+            results = json.loads(results_path.read_text())
+        except (OSError, ValueError):
+            raise ValidationError(f"train results {results_path} are unreadable or not JSON; run train first") from None
+        taus = results["taus"]
+        by_key = {(c["row"], tau_key(c["tau"])): c for c in results["cells"]}
 
-    header = ["row"]
-    for t in taus:
-        header += [f"wga_tau={tau_key(t)}", f"bca_tau={tau_key(t)}"]
-    lines = [",".join(header)]
-    for method, metric in ROWS:
-        label = row_label(method, metric)
-        cells = [label]
+        header = ["row"]
         for t in taus:
-            cell = by_key.get((label, tau_key(t)))
-            if cell is None:
-                raise ValidationError(f"results are missing cell {label} at tau={tau_key(t)}")
-            cells.append(f"{cell['wga_mean']:.4f}±{cell['wga_std']:.4f}")
-            cells.append(f"{cell['bca_mean']:.4f}±{cell['bca_std']:.4f}")
-        lines.append(",".join(cells))
-    with _stage_output(out_root, "report", "report") as staged:
-        (staged / "final_table.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _update_run_manifest(
-        out_root, config, "report", {"final_table": "report/final_table.csv"},
-        time.monotonic() - started,
-    )
-    table_path = out_root / "report" / "final_table.csv"
+            header += [f"wga_tau={tau_key(t)}", f"bca_tau={tau_key(t)}"]
+        lines = [",".join(header)]
+        for method, metric in ROWS:
+            label = row_label(method, metric)
+            cells = [label]
+            for t in taus:
+                cell = by_key.get((label, tau_key(t)))
+                if cell is None:
+                    raise ValidationError(f"results are missing cell {label} at tau={tau_key(t)}")
+                cells.append(f"{cell['wga_mean']:.4f}±{cell['wga_std']:.4f}")
+                cells.append(f"{cell['bca_mean']:.4f}±{cell['bca_std']:.4f}")
+            lines.append(",".join(cells))
+        (stage.dir / "final_table.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        stage.artifacts = {"final_table": "report/final_table.csv"}
+    table_path = stage.root / "report" / "final_table.csv"
     print(f"wrote {table_path}")
     return table_path
 

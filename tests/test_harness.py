@@ -325,7 +325,7 @@ def test_a_failed_regenerate_keeps_the_previous_dataset(tmp_path, monkeypatch):
     # previous dataset and its entry stay, and only the old section reads them
     assert _files(tmp_path / "dataset") == scenes
     assert not [p.name for p in tmp_path.iterdir() if p.name.startswith(".")]
-    with pytest.raises(ValidationError, match="not generated from this config's dataset section"):
+    with pytest.raises(ValidationError, match="not made from this config's dataset section "):
         harness.cmd_patchify(changed, tmp_path)
     with pytest.raises(ValidationError, match="run generate first"):
         harness.build_split_data(changed, tmp_path)
@@ -351,22 +351,38 @@ def test_a_killed_stage_leaves_no_staging_tree_behind(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["dataset", "run_manifest.json"]
 
 
+def test_a_skipped_generate_sweeps_a_killed_generates_tree_and_touches_nothing_else(tmp_path, capsys):
+    cfg = mini_config()
+    harness.cmd_generate(cfg, tmp_path)
+    manifest = tmp_path / "run_manifest.json"
+    before, scenes = manifest.read_bytes(), _files(tmp_path / "dataset")
+    (tmp_path / ".dataset.999999.tmp" / "images").mkdir(parents=True)
+    capsys.readouterr()
+    harness.cmd_generate(cfg, tmp_path)
+    printed = capsys.readouterr().out
+    assert "skipping" in printed and not re.search(r"generated \d+ images", printed)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dataset", "run_manifest.json"]
+    # no swap and no new entry, not even a new completed_utc
+    assert manifest.read_bytes() == before
+    assert _files(tmp_path / "dataset") == scenes
+
+
 def test_patchify_and_assembly_refuse_a_dataset_from_another_section(tmp_path, capsys):
     cfg = mini_config()
     harness.cmd_generate(cfg, tmp_path)
     harness.cmd_patchify(cfg, tmp_path)
     changed = mini_config()
     changed["dataset"]["noise_sigma"] = 0.08
-    with pytest.raises(ValidationError, match="not generated from this config's dataset section"):
+    with pytest.raises(ValidationError, match="not made from this config's dataset section "):
         harness.cmd_patchify(changed, tmp_path)
-    with pytest.raises(ValidationError, match="not generated from this config's dataset section"):
+    with pytest.raises(ValidationError, match="not made from this config's dataset section "):
         harness.build_split_data(changed, tmp_path)
     # an entry with another inputs hash vouches for nothing, and generate replaces it
     manifest = tmp_path / "run_manifest.json"
     doc = json.loads(manifest.read_text())
     doc["stages"]["generate"]["inputs_hash"] = "0" * 64
     manifest.write_text(json.dumps(doc))
-    with pytest.raises(ValidationError, match="not generated from this config's dataset section"):
+    with pytest.raises(ValidationError, match="not made from this config's dataset section "):
         harness.cmd_patchify(cfg, tmp_path)
     capsys.readouterr()
     harness.cmd_generate(cfg, tmp_path)
@@ -586,7 +602,7 @@ def test_failed_train_write_keeps_the_previous_trial_files(tiny_run, tmp_path, m
     for name, entry in stages.items():
         for rel in entry["artifacts"].values():
             assert (out / rel).exists(), (name, rel)
-    with pytest.raises(ValidationError, match="re-run train"):
+    with pytest.raises(ValidationError, match="run train first"):
         harness.cmd_report(changed, out)
     # a failure before the swap keeps the previous results and their entry
     harness.cmd_report(cfg, out)
@@ -910,9 +926,9 @@ def test_analyze_and_assembly_refuse_an_index_from_another_patch_section(tmp_pat
     changed_path.write_text(json.dumps(changed))
     capsys.readouterr()
     assert cli_main(["analyze", "--config", str(changed_path), "--out", str(out)]) == 2
-    assert "(run_manifest.json has no patchify entry for them); re-run patchify" in capsys.readouterr().err
+    assert "(run_manifest.json has no matching patchify entry); run patchify first" in capsys.readouterr().err
     assert not (out / "analysis").exists()
-    with pytest.raises(ValidationError, match="re-run patchify"):
+    with pytest.raises(ValidationError, match="run patchify first"):
         harness.build_split_data(changed, out)
     assert cli_main(["analyze", "--config", str(path), "--out", str(out)]) == 0
 
@@ -974,7 +990,7 @@ def test_cli_report_refuses_results_from_another_config(tiny_run, tmp_path, caps
     before = table.read_bytes(), manifest.read_bytes()
     capsys.readouterr()
     assert cli_main(["report", "--config", str(path), "--out", str(out)]) == 2
-    assert "model and train sections (run_manifest.json has no train entry for them); re-run train" in (
+    assert "model, train sections (run_manifest.json has no matching train entry); run train first" in (
         capsys.readouterr().err
     )
     assert (table.read_bytes(), manifest.read_bytes()) == before
@@ -996,11 +1012,11 @@ def test_each_stage_reads_only_its_own_sections(tiny_run, tmp_path, capsys, fiel
     before = table.read_bytes()
     capsys.readouterr()
     analyzed = cli_main(["analyze", "--config", str(path), "--out", str(out)])
-    refused = "re-run patchify" in capsys.readouterr().err
+    refused = "run patchify first" in capsys.readouterr().err
     # analyze reads the dataset and patch sections through the index, and its own
     assert (analyzed, refused) == ((2, True) if section in ("dataset", "patch") else (0, False))
     reported = cli_main(["report", "--config", str(path), "--out", str(out)])
-    refused = "re-run train" in capsys.readouterr().err
+    refused = "run train first" in capsys.readouterr().err
     if section == "analysis":  # train's output is not made from it, so no retrain
         assert (reported, refused) == (0, False)
         assert table.read_bytes() == before
@@ -1013,7 +1029,15 @@ def test_cli_report_refuses_results_that_are_not_json(tiny_run, tmp_path, capsys
     (out / "train" / "results.json").write_text("{")
     capsys.readouterr()
     assert cli_main(["report", "--config", str(_write_config(tmp_path, cfg)), "--out", str(out)]) == 2
-    assert "are not valid JSON; re-run train" in capsys.readouterr().err
+    assert "are unreadable or not JSON; run train first" in capsys.readouterr().err
+
+
+def test_cli_report_refuses_missing_results_under_a_matching_train_entry(tiny_run, tmp_path, capsys):
+    cfg, out = _copy_run(tiny_run, tmp_path)
+    (out / "train" / "results.json").unlink()
+    capsys.readouterr()
+    assert cli_main(["report", "--config", str(_write_config(tmp_path, cfg)), "--out", str(out)]) == 2
+    assert "are unreadable or not JSON; run train first" in capsys.readouterr().err
 
 
 def test_report_requires_train_results(tmp_path):
