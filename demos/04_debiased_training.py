@@ -22,20 +22,20 @@ config["dataset"].update(images=160, height=96, width=96, seed=1001)
 config["patch"].update(height=32, width=32)
 # beta=None tunes beta over the grid on validation
 config["train"].update(epochs=14, trials=1, beta=None, seed=5, beta_grid=[0.0, 0.5, 1.0])
+spec = harness.model_spec_from_config(config)
 
 with tempfile.TemporaryDirectory(prefix="patchbias_demo_") as tmp:
     out = Path(tmp)
     harness.cmd_generate(config, out)
     harness.cmd_patchify(config, out)
-    data_by_tau, _ = harness.build_split_data(config, out)
+    # assembly pools each scene into the model's input, as the train stage does
+    data_by_tau, _ = harness.build_split_data(config, out, spec)
 
 tau = 0.1
 train, val, test = data_by_tau[tau]
 print(f"\ntraining on {train.size} patches, validating on {val.size}, testing on {test.size}")
 
-report = run_experiment(
-    harness.model_spec_from_config(config), {tau: (train, val, test)}, TrainConfig(**config["train"])
-)
+report = run_experiment(spec, {tau: (train, val, test)}, TrainConfig(**config["train"]))
 
 print("\nrow        test WGA  test BCA   per-group accuracy")
 for cell in report.cells:

@@ -37,6 +37,7 @@ import resource
 import time
 from contextlib import contextmanager
 from datetime import datetime, timezone
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -570,15 +571,21 @@ def cmd_analyze(config: dict, out_root: str | Path | None, predictions: str | Pa
 
 
 def build_split_data(
-    config: dict, out_root: str | Path
+    config: dict, out_root: str | Path, spec: ClassifierSpec | None = None
 ) -> tuple[dict[float, tuple[SplitData, SplitData, SplitData]], dict[str, list[PatchRecord]]]:
     """Assemble dense per-split arrays from the patch index plus pixel data.
 
-    Each split's (count, h, w, C) float32 array is allocated once from the
-    index's split counts and filled in place, so assembly holds no second
-    copy of the pixels. Pixel arrays are shared across thresholds; only the
-    group ids differ. The arrays stay raw and nothing here keeps a reference
-    to them, so `cmd_train` can replace each with its pooled copy and free it.
+    Every patch is replayed from its scene and checked against its index row
+    (image, grid cell, split and label), so an index that no longer matches
+    the dataset raises before anything trains. Each split's array is
+    allocated once from the index's split counts and filled scene by scene:
+    a scene's patches are copied into one reusable (patches per image, h, w,
+    C) float32 buffer, which goes into the split's next rows. Without a spec
+    the split arrays hold those raw float32 patches. With one they hold the
+    model's pooled float64 input, `model.pool(spec, buffer)` per scene (pool
+    is exact per patch, so the bytes equal pooling the raw split), and no
+    raw split array ever exists. Arrays are shared across thresholds; only
+    the group ids differ.
     """
     out_root = Path(out_root)
     _require_stages(out_root, config, ("generate", "patchify"))
@@ -588,24 +595,38 @@ def build_split_data(
     by_split: dict[str, list[PatchRecord]] = {s: [] for s in SPLITS}
     for record in stored:
         by_split[record.split].append(record)
-    shape = (config["patch"]["height"], config["patch"]["width"], config["dataset"]["channels"])
-    pixels = {s: np.empty((len(by_split[s]), *shape), dtype=np.float32) for s in SPLITS}
+    d, p = config["dataset"], config["patch"]
+    patch_shape = (p["height"], p["width"], d["channels"])
+    if spec is None:
+        row_shape, dtype = patch_shape, np.float32
+    else:
+        row_shape, dtype = (*spec.pooled_shape, d["channels"]), np.float64
+    pixels = {s: np.empty((len(by_split[s]), *row_shape), dtype=dtype) for s in SPLITS}
+    per_image = (d["height"] // p["height"]) * (d["width"] // p["width"])
+    scene = np.empty((per_image, *patch_shape), dtype=np.float32)
     filled = dict.fromkeys(SPLITS, 0)
 
     cursor = 0
-    for record, patch in _iter_patch_records(config, out_root / "dataset"):
-        if cursor >= len(stored):
-            raise ValidationError("patch index is shorter than the dataset grid; re-run patchify")
-        on_disk = stored[cursor]
-        cursor += 1
-        if (on_disk.image_id, on_disk.grid_row, on_disk.grid_col, on_disk.label) != (
-            record.image_id, record.grid_row, record.grid_col, record.label
-        ):
-            raise ValidationError(
-                f"patch index row {cursor - 1} does not match the dataset; re-run patchify"
-            )
-        pixels[on_disk.split][filled[on_disk.split]] = patch.pixels
-        filled[on_disk.split] += 1
+    replay = _iter_patch_records(config, out_root / "dataset")
+    for _, patches in groupby(replay, key=lambda pair: pair[0].image_id):
+        n = 0
+        for record, patch in patches:
+            if cursor >= len(stored):
+                raise ValidationError("patch index is shorter than the dataset grid; re-run patchify")
+            on_disk = stored[cursor]
+            cursor += 1
+            # a scene's rows must share one split, since the scene goes into it whole
+            if (on_disk.image_id, on_disk.grid_row, on_disk.grid_col, on_disk.split, on_disk.label) != (
+                record.image_id, record.grid_row, record.grid_col, record.split, record.label
+            ):
+                raise ValidationError(
+                    f"patch index row {cursor - 1} does not match the dataset; re-run patchify"
+                )
+            scene[n] = patch.pixels
+            n += 1
+        lo = filled[record.split]
+        pixels[record.split][lo : lo + n] = scene[:n] if spec is None else pool(spec, scene[:n])
+        filled[record.split] = lo + n
     if cursor != len(stored):
         raise ValidationError("patch index is longer than the dataset grid; re-run patchify")
 
@@ -644,17 +665,9 @@ def cell_dir_name(method: str, eval_metric: str, tau: float) -> str:
 def cmd_train(config: dict, out_root: str | Path | None) -> RunReport:
     """Run the full (method, selection metric) x threshold grid and persist artifacts."""
     with _stage(config, out_root, "train") as stage:
-        data_by_tau, by_split = build_split_data(config, stage.root)
-        test_records = by_split["test"]
         model_spec = model_spec_from_config(config)
-        # training reads only the pooled input, so each shared raw array is
-        # replaced by its pooled copy and freed; val and test go first, so that
-        # only the raw train array is alive when the largest copy is made
-        shared = next(iter(data_by_tau.values()))
-        for i in (1, 2, 0):
-            x = pool(model_spec, shared[i].x)
-            for splits in data_by_tau.values():
-                splits[i].x = x
+        data_by_tau, by_split = build_split_data(config, stage.root, model_spec)
+        test_records = by_split["test"]
         report = run_experiment(model_spec, data_by_tau, TrainConfig(**config["train"]))
         stage.workers = report.workers
 

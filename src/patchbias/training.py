@@ -24,17 +24,18 @@ selection, is one job of `parallel.run_jobs`, so the trajectories run on every
 usable core and give the same bytes as one process would.
 
 The model takes only pooled input. `run_experiment` requires the three shared
-split arrays to be pooled already (`harness.cmd_train` pools them with
-`model.pool` and frees the raw pixels), so it never holds a raw copy. An ERM
-job predicts each epoch snapshot once on the shared validation array, selects
-for every (threshold, metric) pair from those predictions, and predicts test
-once per distinct chosen epoch. The single-trajectory entry points
-(`train_history`, `select_checkpoint`, `evaluate_outcome`) also take raw
-splits. `train_history` pools the train split once. Every prediction goes
-through `_predictions`, which walks a split in `_EVAL_CHUNK`-row chunks,
-pools each chunk with `model.pool` (a pass-through for pooled input) and
-predicts it under every snapshot before the next, so evaluation never holds a
-pooled copy of val or test.
+split arrays to be pooled already: `harness.cmd_train` has split assembly pool
+each scene as it goes (`harness.build_split_data` with the model spec), so no
+raw split array ever exists. An ERM job predicts each epoch snapshot once on
+the shared validation array, selects for every (threshold, metric) pair from
+those predictions, and predicts test once per distinct chosen epoch. The
+single-trajectory entry points (`train_history`, `select_checkpoint`,
+`evaluate_outcome`) also take raw splits. `train_history` pools the train
+split once, after priming the allocator (see `_ALLOCATOR_PRIMER_BYTES`). Every
+prediction goes through `_predictions`, which walks a split in
+`_EVAL_CHUNK`-row chunks, pools each chunk with `model.pool` (a pass-through
+for pooled input) and predicts it under every snapshot before the next, so
+evaluation never holds a pooled copy of val or test.
 """
 
 from __future__ import annotations
@@ -172,6 +173,16 @@ def gerne_step(
     return params, velocity, loss_b, loss_lb
 
 
+# glibc serves a block above its mmap threshold (128 KiB at start) with a
+# fresh mmap, and freeing such a block raises the threshold to its size, up
+# to 32 MiB. Until a block larger than the per-step temporaries (conv1's
+# im2col columns, about 1.1 MB) has been freed, each of them is mapped and
+# zero-faulted anew on every call. So a trajectory first allocates and frees
+# one untouched block of this size, whatever its caller freed before: it
+# costs no resident memory and lifts the threshold above every temporary.
+_ALLOCATOR_PRIMER_BYTES = 16 << 20
+
+
 @dataclass
 class History:
     """Per-epoch parameter snapshots from one training run; `spec.seed` is its seed."""
@@ -201,6 +212,7 @@ def train_history(
     if train.size == 0:
         raise ValidationError("training split is empty")
 
+    np.empty(_ALLOCATOR_PRIMER_BYTES, dtype=np.uint8)  # allocated and freed at once, never touched
     spec = replace(model_spec, seed=seed)
     spec.validate()
     x = pool(spec, train.x)

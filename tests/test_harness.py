@@ -7,7 +7,6 @@ import json
 import math
 import re
 import shutil
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -797,32 +796,63 @@ def test_build_split_data_takes_a_str_out_root(tiny_run):
                 assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
 
 
-def test_train_frees_the_raw_split_arrays_before_training(tiny_run, monkeypatch):
+def test_train_trains_on_the_pooled_arrays_assembly_returned(tiny_run, monkeypatch):
     cfg, out = tiny_run
     cfg = {**cfg, "model": {**cfg["model"], "pool_target": 16}}  # pool factor 2
     real_build = harness.build_split_data
-    raw = []
+    specs, built = [], []
 
     class Stop(Exception):
         pass
 
-    def build(config, out_root):
-        data_by_tau, by_split = real_build(config, out_root)
-        raw.extend(weakref.ref(split.x) for split in next(iter(data_by_tau.values())))
+    def build(config, out_root, spec=None):
+        specs.append(spec)
+        data_by_tau, by_split = real_build(config, out_root, spec)
+        built.extend(split.x for split in next(iter(data_by_tau.values())))
         return data_by_tau, by_split
 
     def check(model_spec, data_by_tau, config):
-        assert len(raw) == 3 and [ref() for ref in raw] == [None] * 3
+        assert specs == [model_spec] == [harness.model_spec_from_config(cfg)]
+        assert len(built) == 3
         pooled = (*model_spec.pooled_shape, model_spec.channels)
-        assert {(s.x.dtype, s.x.shape[1:]) for splits in data_by_tau.values() for s in splits} == {
-            (np.dtype(np.float64), pooled)
-        }
+        for splits in data_by_tau.values():  # every threshold shares assembly's arrays
+            for split, x in zip(splits, built):
+                assert split.x is x
+                assert split.x.dtype == np.float64 and split.x.shape[1:] == pooled
         raise Stop
 
     monkeypatch.setattr(harness, "build_split_data", build)
     monkeypatch.setattr(harness, "run_experiment", check)
     with pytest.raises(Stop):
         harness.cmd_train(cfg, out)
+
+
+@pytest.fixture(scope="module")
+def corpus40(tmp_path_factory):
+    """A generated and patchified corpus of 40-pixel patches, four per scene."""
+    out = tmp_path_factory.mktemp("corpus40")
+    cfg = mini_config()
+    cfg["dataset"].update(height=80, width=80)
+    cfg["patch"].update(height=40, width=40)
+    harness.cmd_generate(cfg, out)
+    harness.cmd_patchify(cfg, out)
+    return cfg, out
+
+
+@pytest.mark.parametrize("pool_target, factor", [(40, 1), (20, 2), (14, 3)])
+def test_pooled_assembly_is_the_pooled_raw_assembly_bit_for_bit(corpus40, pool_target, factor):
+    cfg, out = corpus40
+    cfg = {**cfg, "model": {**cfg["model"], "pool_target": pool_target}}
+    spec = harness.model_spec_from_config(cfg)
+    assert spec.pool_factor == factor
+    raw, _ = harness.build_split_data(cfg, out)
+    pooled, _ = harness.build_split_data(cfg, out, spec)
+    for tau in cfg["patch"]["taus"]:
+        for r, q in zip(raw[tau], pooled[tau]):
+            assert r.x.dtype == np.float32 and q.x.dtype == np.float64
+            assert q.x.shape == (r.size, *spec.pooled_shape, spec.channels)
+            assert q.x.tobytes() == model.pool(spec, r.x).tobytes()
+            assert q.y.tobytes() == r.y.tobytes() and q.groups.tobytes() == r.groups.tobytes()
 
 
 def test_build_split_data_detects_a_stale_index(tiny_run):
@@ -837,7 +867,14 @@ def test_build_split_data_detects_a_stale_index(tiny_run):
         index.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValidationError, match="re-run patchify"):
             harness.build_split_data(cfg, out)
-        index.write_text("\n".join(lines[:-1]) + "\n")
+        # a row moved to another split: its scene would no longer go into one split whole
+        doc["label"] = 1 - doc["label"]
+        doc["split"] = "val" if doc["split"] != "val" else "test"
+        lines[0] = json.dumps(doc, sort_keys=True)
+        index.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValidationError, match="re-run patchify"):
+            harness.build_split_data(cfg, out)
+        index.write_text("\n".join(original.splitlines()[:-1]) + "\n")
         with pytest.raises(ValidationError, match="re-run patchify"):
             harness.build_split_data(cfg, out)
     finally:

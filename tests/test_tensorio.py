@@ -64,6 +64,10 @@ def _stored_bytes(tmp_path, arr) -> bytes:
 
 def _read_bytes_as_tensor(tmp_path, raw: bytes):
     path = tmp_path / "fuzz.npy"
+    # each cut goes to a new file, not into the last one truncated in place:
+    # on ext4 an in-place rewrite stalled for milliseconds while the rest of
+    # the suite ran
+    path.unlink(missing_ok=True)
     path.write_bytes(raw)
     return read_tensor(path)
 
