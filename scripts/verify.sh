@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Verify a checkout: the tier-1 tests, the benchmark self-tests, the
-# benchmark's output check on every workload, the package's import time, the
+# benchmark's output check on every workload (and on the trajectory workload
+# once more, pinned to one core), the package's import time, the
 # demos and, with --full, a run of the default config checked against the
 # golden fingerprint in ROADMAP.md, then an analysis-only edit that analyze
 # and report must take without a retrain and a skipped generate beside a
@@ -44,6 +45,13 @@ for workload in grid trajectory corpus; do
     *) echo "FAILED   $workload: $last" >&2; exit 1 ;;
   esac
 done
+# pinned to one core, a lone GERNE trajectory computes both gradients itself
+# instead of in a forked helper; both paths must give the pinned digest
+last=$(taskset -c 0 python3 perfbench/run.py --workload trajectory --seed 0 --seconds 1 2>&1 | tail -n 1)
+case "$last" in
+  *'"correct": true'*) echo "ok       trajectory on one core (taskset -c 0)" ;;
+  *) echo "FAILED   trajectory on one core (taskset -c 0): $last" >&2; exit 1 ;;
+esac
 # informational, no bound: the benchmark's grid and corpus setup_s is almost
 # all import time
 echo "== import time (cumulative, median of 5 fresh interpreters)"

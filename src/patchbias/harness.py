@@ -351,8 +351,8 @@ def _stage(config: dict, out_root: str | Path | None, name: str):
     finished, how long it took, on how many processes, its peak memory and
     minor page faults, and what it wrote. `peak_rss_mb` is the stage
     process's `ru_maxrss` and `minflt` its `ru_minflt`: the calling process
-    only, not the helpers `run_jobs` forks, and, when one process runs
-    several stages, the totals so far rather than this stage's own.
+    only, not the helpers `run_jobs` or a trajectory forks, and, when one
+    process runs several stages, the totals so far rather than this stage's own.
     """
     validate_config(config)
     root = resolve_out_root(config, out_root)

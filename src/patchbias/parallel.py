@@ -13,8 +13,22 @@ not oversubscribe N cores. One BLAS thread gives the same bits. Where no
 OpenBLAS thread setter is found, the jobs run serially, and so does a process
 pinned to one core (`taskset -c 0`).
 
+A process outside a `run_jobs` pool with two or more usable cores
+(`has_spare_core`) can use a second core for one job. `spare_core_helper(fn)`
+then forks one `Helper` that answers `fn(*args)` request by request while the
+caller works on something else; elsewhere it gives an `InProcessHelper`, which
+computes each request at once in the caller. A `Helper` inherits `fn` and
+what it refers to copy-on-write; only each request and each reply are
+pickled. Both processes run one BLAS thread while it lives, so a reply holds
+the bits the caller would have computed. The helper exits on the stop
+message, or when its end of the pipe reaches EOF, so a caller that dies
+leaves nothing running. Pool processes fork no `Helper`: pool helpers are
+daemonic, and the pool already has a process on every core.
+
 Forking is safe here because the package starts no threads of its own and
 OpenBLAS stops its thread pool before every fork (a `pthread_atfork` handler).
+The `ru_maxrss` and `ru_minflt` a stage records are the caller's own: a
+helper's private pages are not counted.
 """
 
 from __future__ import annotations
@@ -22,8 +36,12 @@ from __future__ import annotations
 import ctypes
 import os
 import pickle
+from contextlib import contextmanager
 from functools import cache
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
+
+# whether this process works in a `run_jobs` pool; pool helpers inherit it when they are forked
+_in_pool = False
 
 
 def worker_count() -> int:
@@ -51,10 +69,27 @@ def _blas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
     return None
 
 
+@contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """OpenBLAS runs one thread in this process, and in those it forks, until the block ends."""
+    get_threads, set_threads = _blas_threads()
+    saved = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(saved)
+
+
 def pool_size(n: int) -> int:
     """How many processes `run_jobs` uses for `n` jobs: one per usable core, at most one per job."""
     workers = min(worker_count(), n)
     return workers if workers > 1 and _blas_threads() is not None else 1
+
+
+def has_spare_core() -> bool:
+    """Whether this process has a core to spare for a `Helper`: two usable cores, and no `run_jobs` pool."""
+    return not _in_pool and worker_count() >= 2 and _blas_threads() is not None
 
 
 def run_jobs(jobs: list[Callable[[], Any]]) -> list:
@@ -63,32 +98,33 @@ def run_jobs(jobs: list[Callable[[], Any]]) -> list:
     An error in any job is raised here with its type and message; pending
     jobs are cancelled, and every helper has exited before this returns or raises.
     """
+    global _in_pool
     workers = pool_size(len(jobs))
     if workers == 1:
         return [job() for job in jobs]
-    get_threads, set_threads = _blas_threads()
-    saved = get_threads()
-    set_threads(1)
+    outer, _in_pool = _in_pool, True
     try:
-        return _run_forked(jobs, workers)
+        with _one_blas_thread():
+            return _run_forked(jobs, workers)
     finally:
-        set_threads(saved)
+        _in_pool = outer
 
 
 class HelperTraceback(Exception):
     """The traceback of a job that failed in a helper process, chained to the re-raised error."""
 
 
-def _failure(i: int, exc: BaseException) -> bytes:
+def _failure(head: tuple, exc: BaseException) -> bytes:
+    """`(*head, None, exc, traceback text)` pickled, for the caller to raise `exc` from."""
     import traceback
 
     text = "".join(traceback.format_exception(exc))
     try:
-        payload = pickle.dumps((i, None, exc, text))
+        payload = pickle.dumps((*head, None, exc, text))
         pickle.loads(payload)
         return payload
     except Exception:  # an exception that does not survive pickling is reported by name
-        return pickle.dumps((i, None, RuntimeError(f"{type(exc).__name__}: {exc}"), text))
+        return pickle.dumps((*head, None, RuntimeError(f"{type(exc).__name__}: {exc}"), text))
 
 
 def _run_forked(jobs: list[Callable[[], Any]], workers: int) -> list:
@@ -113,7 +149,7 @@ def _run_forked(jobs: list[Callable[[], Any]], workers: int) -> list:
             try:
                 results.put(pickle.dumps((i, jobs[i](), None, None)))
             except BaseException as exc:  # an interrupt too: the caller raises it
-                results.put(_failure(i, exc))
+                results.put(_failure((i,), exc))
                 return
 
     out: list = [None] * n
@@ -159,3 +195,102 @@ def _run_forked(jobs: list[Callable[[], Any]], workers: int) -> list:
                 p.terminate()
             p.join()
         results.close()
+
+
+def _serve(fn: Callable, conn, callers_end) -> None:
+    """The helper's loop: reply to each request with `fn(*request)` until the stop message or EOF."""
+    callers_end.close()  # else this process would hold the pipe open against its own EOF
+    while True:
+        try:
+            request = conn.recv()
+        except EOFError:  # the caller closed its end, or died, without the stop message
+            return
+        if request is None:
+            return
+        try:
+            reply = pickle.dumps((fn(*request), None, None))
+        except BaseException as exc:  # an interrupt too: the caller raises it
+            reply = _failure((), exc)
+        try:
+            conn.send_bytes(reply)
+        except OSError:  # the caller has closed its end and wants no reply
+            return
+
+
+class Helper:
+    """A forked process that computes `fn(*args)` for the caller, one request at a time.
+
+    `submit` sends a request and returns at once, so the caller can work
+    while the helper computes; `result` waits for the reply and raises the
+    helper's error with its type and message. `close` stops the helper, at
+    once if a reply is still pending, and waits for it to exit.
+    """
+
+    def __init__(self, fn: Callable) -> None:
+        import multiprocessing
+
+        ctx = multiprocessing.get_context("fork")
+        self._conn, theirs = ctx.Pipe()
+        self._pending = False
+        self._process = ctx.Process(target=_serve, args=(fn, theirs, self._conn), daemon=True)
+        self._process.start()
+        theirs.close()
+
+    def submit(self, *args) -> None:
+        self._conn.send(args)
+        self._pending = True
+
+    def result(self) -> Any:
+        if not self._pending:
+            raise RuntimeError("no request is waiting for its reply")
+        try:
+            payload = self._conn.recv_bytes()
+        except EOFError:
+            raise RuntimeError("the helper process exited without replying") from None
+        self._pending = False
+        value, error, text = pickle.loads(payload)
+        if error is not None:
+            raise error from HelperTraceback(text)
+        return value
+
+    def close(self) -> None:
+        if self._pending:
+            self._process.terminate()  # its reply is not wanted
+        else:
+            try:
+                self._conn.send(None)
+            except OSError:  # it has exited already
+                pass
+        self._conn.close()
+        self._process.join()
+
+
+class InProcessHelper:
+    """`Helper`'s interface in the calling process: `submit` computes `fn(*args)` at once, `result` returns it."""
+
+    def __init__(self, fn: Callable) -> None:
+        self._fn = fn
+
+    def submit(self, *args) -> None:
+        self._reply = self._fn(*args)
+
+    def result(self) -> Any:
+        return self._reply
+
+
+@contextmanager
+def spare_core_helper(fn: Callable) -> Iterator[Helper | InProcessHelper]:
+    """A `Helper` for `fn` while the block runs if `has_spare_core()`, else an `InProcessHelper`.
+
+    With a `Helper`, both processes run one BLAS thread meanwhile, and the
+    helper has exited before the block is left, whether it ends or raises.
+    """
+    if not has_spare_core():
+        yield InProcessHelper(fn)
+        return
+    with _one_blas_thread():
+        helper = Helper(fn)
+        try:
+            yield helper
+        finally:
+            helper.close()

@@ -36,20 +36,32 @@ prediction goes through `_predictions`, which walks a split in
 `_EVAL_CHUNK`-row chunks, pools each chunk with `model.pool` (a pass-through
 for pooled input) and predicts it under every snapshot before the next, so
 evaluation never holds a pooled copy of val or test.
+
+A GERNE trajectory run outside a `run_jobs` pool on two or more usable cores
+(`parallel.has_spare_core`) uses two. After pooling the train split it forks
+one `parallel.Helper`, which inherits the pooled array copy-on-write. Each
+step sends it the parameters and the biased row indices, computes the
+less-biased gradient meanwhile, and takes back the biased loss and gradient.
+The helper runs one BLAS thread, as the caller does meanwhile, so the bits
+are those of the serial step; the package still starts no threads. The
+memory the stages record is the caller's alone. Trajectories in a pool, ERM
+trajectories and one-core hosts compute both gradients in the one process.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from .errors import NonFiniteGradientError, ValidationError
 from .metrics import N_GROUPS, EvalResult, evaluate
 from .model import ClassifierSpec, init_params, loss_and_grad, pool, predict
-from .parallel import pool_size, run_jobs
+from .parallel import pool_size, run_jobs, spare_core_helper
 from .sampler import GroupedDataset, draw_biased, draw_erm, draw_less_biased, erm_steps_per_epoch
 
 METHOD_ERM = "erm"
@@ -153,24 +165,40 @@ def gerne_step(
     spec: ClassifierSpec,
     params: np.ndarray,
     velocity: np.ndarray,
-    batch_b: np.ndarray,
-    labels_b: np.ndarray,
+    batch_b: np.ndarray | None,
+    labels_b: np.ndarray | None,
     batch_lb: np.ndarray,
     labels_lb: np.ndarray,
     *,
     beta: float,
     lr: float,
     momentum: float,
+    biased: Callable[[], tuple[float, np.ndarray]] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, float, float]:
-    if batch_b.shape[0] == 0 or batch_lb.shape[0] == 0:
+    """One GERNE update from a biased and a less-biased batch.
+
+    The biased (loss, gradient) at `params` is `loss_and_grad` on `batch_b`,
+    or, if given, `biased()`, which a helper may be computing meanwhile
+    (see `train_history`); `batch_b` and `labels_b` are then None.
+    """
+    if batch_lb.shape[0] == 0 or (biased is None and batch_b.shape[0] == 0):
         raise ValidationError("both batches must be non-empty")
-    loss_b, g_b = loss_and_grad(spec, params, batch_b, labels_b)
-    _ensure_finite(loss_b, g_b, "biased")
+    if biased is None:
+        biased = partial(loss_and_grad, spec, params, batch_b, labels_b)
     loss_lb, g_lb = loss_and_grad(spec, params, batch_lb, labels_lb)
+    loss_b, g_b = biased()
+    _ensure_finite(loss_b, g_b, "biased")
     _ensure_finite(loss_lb, g_lb, "less-biased")
     g_ext = extrapolated_gradient(g_lb, g_b, beta)
     params, velocity = sgd_update(params, velocity, g_ext, lr, momentum)
     return params, velocity, loss_b, loss_lb
+
+
+def _rows_loss_and_grad(
+    spec: ClassifierSpec, x: np.ndarray, y: np.ndarray, params: np.ndarray, rows: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """`loss_and_grad` on rows of a split: the biased stream's job."""
+    return loss_and_grad(spec, params, x[rows], y[rows])
 
 
 # glibc serves a block above its mmap threshold (128 KiB at start) with a
@@ -223,28 +251,33 @@ def train_history(
 
     snapshots: list[np.ndarray] = []
     losses: list[float] = []
-    for epoch in range(1, epochs + 1):
-        epoch_losses = []
-        for step in range(steps):
-            if method == METHOD_ERM:
-                idx = draw_erm(ds, batch_size, epoch, step)
-                params, velocity, loss = erm_step(
-                    spec, params, velocity, x[idx], train.y[idx], lr=lr, momentum=momentum
-                )
-                epoch_losses.append(loss)
-            else:
-                idx_b = draw_biased(ds, batch_size, epoch, step)
-                idx_lb = draw_less_biased(ds, batch_size, epoch, step)
-                params, velocity, loss_b, loss_lb = gerne_step(
-                    spec, params, velocity,
-                    x[idx_b], train.y[idx_b],
-                    x[idx_lb], train.y[idx_lb],
-                    beta=beta, lr=lr, momentum=momentum,
-                )
-                epoch_losses.append(0.5 * (loss_b + loss_lb))
-        # every step returns a new array, so the snapshot needs no copy
-        snapshots.append(params)
-        losses.append(float(np.mean(epoch_losses)))
+    # with a core to spare, a forked helper computes each biased gradient; it
+    # inherits the pooled split copy-on-write and is sent only rows
+    biased_rows = partial(_rows_loss_and_grad, spec, x, train.y)
+    with spare_core_helper(biased_rows) if method == METHOD_GERNE else nullcontext() as biased:
+        for epoch in range(1, epochs + 1):
+            epoch_losses = []
+            for step in range(steps):
+                if method == METHOD_ERM:
+                    idx = draw_erm(ds, batch_size, epoch, step)
+                    params, velocity, loss = erm_step(
+                        spec, params, velocity, x[idx], train.y[idx], lr=lr, momentum=momentum
+                    )
+                    epoch_losses.append(loss)
+                else:
+                    idx_b = draw_biased(ds, batch_size, epoch, step)
+                    idx_lb = draw_less_biased(ds, batch_size, epoch, step)
+                    biased.submit(params, idx_b)
+                    params, velocity, loss_b, loss_lb = gerne_step(
+                        spec, params, velocity,
+                        None, None,
+                        x[idx_lb], train.y[idx_lb],
+                        beta=beta, lr=lr, momentum=momentum, biased=biased.result,
+                    )
+                    epoch_losses.append(0.5 * (loss_b + loss_lb))
+            # every step returns a new array, so the snapshot needs no copy
+            snapshots.append(params)
+            losses.append(float(np.mean(epoch_losses)))
     return History(spec=spec, snapshots=snapshots, train_losses=losses)
 
 
@@ -424,7 +457,7 @@ def _sample_std(xs: list[float]) -> float:
 @dataclass
 class RunReport:
     cells: list[CellReport]
-    workers: int = 1  # the most processes that trained at once
+    workers: int = 1  # the most pool processes that trained at once, not counting biased-stream helpers
 
     def cell(self, method: str, eval_metric: str, tau: float) -> CellReport:
         for c in self.cells:

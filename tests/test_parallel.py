@@ -128,3 +128,87 @@ def test_one_job_or_one_worker_starts_no_process(monkeypatch):
     monkeypatch.setattr(parallel, "worker_count", lambda: 1)
     assert parallel.pool_size(5) == 1
     assert parallel.run_jobs([partial(int.__add__, 10, i) for i in range(3)]) == [10, 11, 12]
+
+
+def _pid_and_sum(values, offset):
+    return os.getpid(), sum(values) + offset
+
+
+def test_a_helper_answers_requests_and_exits_when_the_callers_end_of_its_pipe_closes():
+    helper = parallel.Helper(partial(_pid_and_sum, [1, 2, 3]))
+    try:
+        for offset in (10, 20):
+            helper.submit(offset)
+            pid, total = helper.result()
+            assert pid != os.getpid() and total == 6 + offset
+        with pytest.raises(RuntimeError, match="no request"):
+            helper.result()
+        # what a caller that dies leaves: its end closed, no stop message sent
+        helper._conn.close()
+        helper._process.join(timeout=30)
+        assert helper._process.exitcode == 0
+    finally:
+        if helper._process.is_alive():
+            helper._process.terminate()
+    assert multiprocessing.active_children() == []
+
+
+def _raise(error):
+    raise error
+
+
+@pytest.mark.parametrize("error", [NonFiniteGradientError("non-finite gradient on the biased batch"),
+                                   ValidationError("labels must be binary")])
+def test_a_helper_error_surfaces_in_the_caller_with_its_type_and_message(error):
+    helper = parallel.Helper(_raise)
+    try:
+        helper.submit(error)
+        with pytest.raises(type(error)) as raised:
+            helper.result()
+    finally:
+        helper.close()
+    assert str(raised.value) == str(error)
+    assert isinstance(raised.value.__cause__, parallel.HelperTraceback)
+    assert multiprocessing.active_children() == []
+
+
+def test_closing_a_helper_with_a_request_pending_stops_it_at_once():
+    helper = parallel.Helper(time.sleep)
+    started = time.monotonic()
+    helper.submit(20)
+    helper.close()
+    assert time.monotonic() - started < 10
+    assert multiprocessing.active_children() == []
+
+
+@needs_blas_pin
+def test_spare_core_helper_forks_only_outside_a_pool_on_two_cores(monkeypatch):
+    def no_fork():
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(parallel, "worker_count", lambda: 1)
+    monkeypatch.setattr(os, "fork", no_fork)
+    with parallel.spare_core_helper(abs) as helper:
+        assert isinstance(helper, parallel.InProcessHelper)
+        helper.submit(-3)
+        assert helper.result() == 3
+    monkeypatch.undo()
+    monkeypatch.setattr(parallel, "worker_count", lambda: 2)
+    get_threads, set_threads = parallel._blas_threads()
+    saved = get_threads()
+    try:
+        set_threads(2)
+        with parallel.spare_core_helper(_blas_threads_in_job) as helper:
+            assert isinstance(helper, parallel.Helper)
+            assert get_threads() == 1  # the caller's while the helper runs
+            helper.submit()
+            assert helper.result() == 1  # and the helper's
+        assert get_threads() == 2
+    finally:
+        set_threads(saved)
+    assert multiprocessing.active_children() == []
+    # a pool process has no core to spare, however many the host has
+    for cores in (2, 4):
+        monkeypatch.setattr(parallel, "worker_count", lambda: cores)
+        assert parallel.run_jobs([parallel.has_spare_core] * 2) == [False, False]
+        assert parallel.has_spare_core()

@@ -1,9 +1,11 @@
 """Optimizer arithmetic, extrapolated updates, checkpoint selection, experiment grid."""
 
+import multiprocessing
 import os
 import subprocess
 import sys
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -534,3 +536,93 @@ def test_beta_tuning_tie_keeps_the_earlier_grid_entry(monkeypatch):
         cell = report.cell("gerne", "wga", tau)
         assert cell.beta == 1.0
         assert cell.beta_scores == {1.0: 0.5, -0.5: 0.5, 0.0: 0.5}
+
+
+# ---- the biased-stream helper ---------------------------------------------------------
+
+needs_blas_pin = pytest.mark.skipif(
+    parallel._blas_threads() is None, reason="no OpenBLAS thread setter, so no helper is forked"
+)
+GERNE = dict(seed=5, epochs=3, batch_size=16, lr=0.1, momentum=0.9, beta=0.5)
+
+
+@pytest.fixture
+def helpers_started(monkeypatch, tmp_path):
+    """Helpers forked from now on, in any process, as a list of marker files (one per helper)."""
+    class Counted(parallel.Helper):
+        def __init__(self, fn):
+            super().__init__(fn)
+            (tmp_path / f"helper-{self._process.pid}").touch()
+
+    monkeypatch.setattr(parallel, "Helper", Counted)
+    return lambda: sorted(tmp_path.glob("helper-*"))
+
+
+def _serial_history(monkeypatch, train):
+    with monkeypatch.context() as patch:
+        patch.setattr(parallel, "worker_count", lambda: 1)
+        assert not parallel.has_spare_core()
+        return train_history(SPEC, "gerne", train, **GERNE)
+
+
+def _assert_same_history(a, b):
+    assert len(a.snapshots) == len(b.snapshots) == GERNE["epochs"]
+    for x, y in zip(a.snapshots, b.snapshots):
+        assert x.tobytes() == y.tobytes()
+    assert a.train_losses == b.train_losses
+
+
+@needs_blas_pin
+def test_a_gerne_trajectory_with_a_helper_gives_the_serial_bits(monkeypatch, helpers_started):
+    train = _split(72, 60)
+    serial = _serial_history(monkeypatch, train)
+    monkeypatch.setattr(parallel, "worker_count", lambda: 2)
+    with_helper = train_history(SPEC, "gerne", train, **GERNE)
+    assert len(helpers_started()) == 1
+    _assert_same_history(with_helper, serial)
+    assert multiprocessing.active_children() == []
+    # ERM has one stream, so it forks nothing
+    train_history(SPEC, "erm", train, **{k: v for k, v in GERNE.items() if k != "beta"})
+    assert len(helpers_started()) == 1
+
+
+def _gerne_job(train):
+    return train_history(SPEC, "gerne", train, **GERNE)
+
+
+@needs_blas_pin
+@pytest.mark.parametrize("cores", [2, 4])
+def test_pool_jobs_fork_no_helper_and_give_the_serial_bits(monkeypatch, helpers_started, cores):
+    trains = [_split(72, 61), _split(72, 62)]
+    serial = [_serial_history(monkeypatch, train) for train in trains]
+    monkeypatch.setattr(parallel, "worker_count", lambda: cores)
+    pooled = parallel.run_jobs([partial(_gerne_job, train) for train in trains])
+    assert helpers_started() == []
+    for a, b in zip(pooled, serial):
+        _assert_same_history(a, b)
+    assert multiprocessing.active_children() == []
+
+
+def _loss_and_grad_failing(caller, where, caller_calls, real, *args):
+    loss, grad = real(*args)
+    if os.getpid() != caller:
+        return (float("nan"), grad) if where == "helper" else (loss, grad)
+    caller_calls.append(1)
+    if where == "caller" and len(caller_calls) == 5:  # while the helper holds a request
+        raise RuntimeError("failed mid-trajectory")
+    return loss, grad
+
+
+@needs_blas_pin
+@pytest.mark.parametrize("where, error, message", [
+    ("helper", NonFiniteGradientError, "on the biased batch"),
+    ("caller", RuntimeError, "mid-trajectory"),
+])
+def test_a_failed_trajectory_leaves_no_helper_running(monkeypatch, helpers_started, where, error, message):
+    failing = partial(_loss_and_grad_failing, os.getpid(), where, [], training.loss_and_grad)
+    monkeypatch.setattr(training, "loss_and_grad", failing)
+    monkeypatch.setattr(parallel, "worker_count", lambda: 2)
+    with pytest.raises(error, match=message):
+        train_history(SPEC, "gerne", _split(72, 65), **GERNE)
+    assert len(helpers_started()) == 1
+    assert multiprocessing.active_children() == []
